@@ -21,7 +21,7 @@ from .decide import (
     INDISTINGUISHABLE,
     INVERTIBLE,
 )
-from .gpm import GbsSet, Gpm, SetFormatError
+from .gpm import GbsSet, Gpm, format_gbs_set, load_set_rows
 
 __all__ = [
     "RepEntry",
@@ -35,7 +35,6 @@ __all__ = [
     "golden_class_sizes",
     "golden_indistinguishable",
     "example_fixtures",
-    "load_set_rows",
     "dump_set_rows",
 ]
 
@@ -163,26 +162,21 @@ def representatives(d: int, k: int) -> RepresentativeFamily:
 
 @dataclass(frozen=True)
 class ClassSizeTable:
-    name: str
     entries: tuple[tuple[str, int], ...]
     total: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "total", sum(n for _, n in self.entries))
 
-    def size_of(self, label: str) -> int:
-        return dict(self.entries)[label]
-
 
 def golden_class_sizes() -> ClassSizeTable:
     """Expected orbit sizes of the ten classes at (d, k) = (4, 4)."""
     labels = [e.label for e in _D4_K4]
-    return ClassSizeTable("d4_k4_class_sizes", tuple(zip(labels, _D4_K4_SIZES)))
+    return ClassSizeTable(tuple(zip(labels, _D4_K4_SIZES)))
 
 
 @dataclass(frozen=True)
 class IndistTable:
-    name: str
     groups: tuple[tuple[str, tuple[tuple[Gpm, ...], ...]], ...]
 
     def rows(self) -> tuple[tuple[Gpm, ...], ...]:
@@ -202,29 +196,14 @@ def golden_indistinguishable() -> IndistTable:
     for entry in _D4_K4:
         if entry.verdict != INDISTINGUISHABLE:
             continue
-        rows = load_set_rows(_DATA_DIR / _fixture_name(entry.label), d=4)
-        groups.append((entry.label, rows))
-    return IndistTable("d4_k4_indistinguishable", tuple(groups))
-
-
-def load_set_rows(path, d: int) -> tuple[tuple[Gpm, ...], ...]:
-    """Read a set-per-line fixture file; blank lines and '#' comments skipped."""
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            parsed = GbsSet.parse(line, d)
-        except SetFormatError as exc:
-            raise SetFormatError(f"{path}:{lineno}: {exc}") from None
-        rows.append(parsed.elements)
-    return tuple(rows)
+        sets = load_set_rows(_DATA_DIR / _fixture_name(entry.label), d=4)
+        groups.append((entry.label, tuple(S.elements for S in sets)))
+    return IndistTable(tuple(groups))
 
 
 def dump_set_rows(rows) -> str:
     """Serialize rows in the fixture line format, with a trailing newline."""
-    return "".join(";".join(f"{m},{n}" for m, n in row) + "\n" for row in rows)
+    return "".join(format_gbs_set(row) + "\n" for row in rows)
 
 
 @dataclass(frozen=True)

@@ -6,24 +6,21 @@ equivalence class, `verify` certifies a distinguishable verdict
 numerically, and `tables` dumps the shipped reference data.
 
 Exit codes are part of the interface and depend only on the outcome, never
-on timing or worker count: 0 success (an INCONCLUSIVE verdict is still a
-successful run), 1 numeric certification above tolerance, 2 bad input,
-3 unsupported request, 4 golden-table mismatch, 5 nothing to certify.
-Reports go to stdout, diagnostics to stderr.  `GBS_LOCC_THREADS` caps the
-worker count for batch sweeps.
+on timing: 0 success (an INCONCLUSIVE verdict is still a successful run),
+1 numeric certification above tolerance, 2 bad input, 3 unsupported request,
+4 golden-table mismatch, 5 nothing to certify.  Reports go to stdout,
+diagnostics to stderr.
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import catalog
 from .decide import DISTINGUISHABLE, INDISTINGUISHABLE, SMALL_SET, decide, slope_gap
 from .decide import COMMUTATIVE, DISCRIMINANT, INVERTIBLE
 from .equivalence import classify, orbit
-from .gpm import INF, GbsSet, SetFormatError, difference_set
+from .gpm import INF, GbsSet, SetFormatError, difference_set, format_gbs_set, load_set_rows
 from .numerics import (
     VERIFY_TOL,
     commuting_witness,
@@ -88,7 +85,7 @@ def _check_payload(S: GbsSet) -> dict:
 
 def _check_lines(payload: dict) -> list[str]:
     lines = [
-        f"set {';'.join(f'{m},{n}' for m, n in payload['set'])} (d = {payload['d']})",
+        f"set {format_gbs_set(payload['set'])} (d = {payload['d']})",
         f"verdict: {payload['verdict']}",
         f"mode: {payload['mode']}",
     ]
@@ -111,7 +108,7 @@ def _check_lines(payload: dict) -> list[str]:
 
 def _batch_summary(payload: dict) -> str:
     parts = [
-        ";".join(f"{m},{n}" for m, n in payload["set"]),
+        format_gbs_set(payload["set"]),
         payload["verdict"],
         payload["mode"],
     ]
@@ -121,18 +118,6 @@ def _batch_summary(payload: dict) -> str:
         m, n = payload["witness"]
         parts.append(f"({m},{n})")
     return "  ".join(parts)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("GBS_LOCC_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        print(f"warning: ignoring GBS_LOCC_THREADS={raw!r}", file=sys.stderr)
-        return 1
-    return max(1, workers)
 
 
 def _cmd_check(args) -> int:
@@ -150,25 +135,10 @@ def _cmd_check(args) -> int:
         return EXIT_OK
 
     try:
-        text = open(args.file, encoding="utf-8").read()
-    except OSError as exc:
+        sets = load_set_rows(args.file, args.d)
+    except (OSError, SetFormatError) as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
-    sets = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            sets.append(GbsSet.parse(line, args.d))
-        except SetFormatError as exc:
-            return _fail(EXIT_BAD_INPUT, f"{args.file}:{lineno}: {exc}")
-
-    workers = _worker_count()
-    if workers > 1 and len(sets) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(_check_payload, sets))
-    else:
-        payloads = [_check_payload(S) for S in sets]
+    payloads = [_check_payload(S) for S in sets]
 
     if args.json:
         sys.stdout.write(render_json(payloads))
@@ -181,9 +151,8 @@ def _cmd_check(args) -> int:
 def _classify_inputs(args):
     """Representative sets plus display labels, from the catalog or a file."""
     if args.reps_file is not None:
-        rows = catalog.load_set_rows(args.reps_file, args.d)
-        sets = [GbsSet(args.d, row) for row in rows]
-        return sets, [catalog.set_label(s.elements) for s in sets]
+        sets = load_set_rows(args.reps_file, args.d)
+        return sets, [catalog.set_label(S.elements) for S in sets]
     family = catalog.representatives(args.d, args.k)
     return list(family.sets()), list(family.labels())
 
@@ -191,10 +160,10 @@ def _classify_inputs(args):
 def _cmd_classify(args) -> int:
     try:
         sets, labels = _classify_inputs(args)
-    except ValueError as exc:
-        return _fail(EXIT_UNSUPPORTED, str(exc))
     except (OSError, SetFormatError) as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
+    except ValueError as exc:
+        return _fail(EXIT_UNSUPPORTED, str(exc))
 
     try:
         result = classify(args.d, args.k, sets)
@@ -274,7 +243,7 @@ def _cmd_classify(args) -> int:
     else:
         print(f"classification d = {args.d}, k = {args.k}")
         for c in classes:
-            rep = ";".join(f"{m},{n}" for m, n in c["representative"])
+            rep = format_gbs_set(c["representative"])
             print(f"  {c['label']:<18} size {c['size']:>6}  {c['verdict']}  [{rep}]")
         print(f"covered {result.covered} of {result.total_standard} standard sets, "
               f"{len(result.uncovered)} uncovered")
@@ -305,7 +274,7 @@ def _cmd_orbit(args) -> int:
         print("note: the input lacks invertible shift and clock powers, so the "
               "listing may be a proper subset of the equivalence class")
     for row in members:
-        print(";".join(f"{m},{n}" for m, n in row))
+        print(format_gbs_set(row))
     return EXIT_OK
 
 

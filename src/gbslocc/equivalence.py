@@ -24,7 +24,6 @@ __all__ = [
     "OrbitReport",
     "Classification",
     "anchored_translate",
-    "canonical_form",
     "orbit",
     "classify",
     "membership",
@@ -38,13 +37,6 @@ def anchored_translate(S: GbsSet, i: int) -> CanonicalSet:
     mi, ni = S.elements[i]
     d = S.d
     return tuple(sorted(((m - mi) % d, (n - ni) % d) for m, n in S.elements))
-
-
-def canonical_form(S: GbsSet) -> CanonicalSet:
-    """Sorted element tuple of a standard set (one containing the identity)."""
-    if (0, 0) not in S.elements:
-        raise ValueError("canonical form is defined for standard sets only")
-    return tuple(sorted(S.elements))
 
 
 def _generation_certified(S: GbsSet) -> bool:

@@ -6,7 +6,8 @@ GBS set is an ordered, duplicate-free collection of symbols over a single
 modulus; it labels the family of maximally entangled states obtained by
 acting with the symbols on one half of the standard maximally entangled
 state.  Everything here is exact integer work; dense matrices live in the
-numerics module.
+numerics module.  The set-literal wire format 'm,n;m,n' and the
+one-literal-per-line file format are parsed and written here only.
 
 Two symbols commute exactly when n*x - m*y = 0 (mod d), and for prime d the
 nonzero symbols organize into d + 1 lines through the origin indexed by the
@@ -16,6 +17,7 @@ projective slope m^{-1} n (INF on the clock axis m = 0).
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 from .modring import is_prime, mod_inverse
 
@@ -25,8 +27,8 @@ __all__ = [
     "GbsSet",
     "SetFormatError",
     "parse_gbs_set",
-    "gpm_product",
-    "gpm_inverse",
+    "format_gbs_set",
+    "load_set_rows",
     "commutes",
     "weyl_exponent",
     "all_gpms",
@@ -43,15 +45,6 @@ Gpm = tuple[int, int]
 
 class SetFormatError(ValueError):
     """A GBS set literal or element collection violates the wire format."""
-
-
-def gpm_product(a: Gpm, b: Gpm, d: int) -> Gpm:
-    """Phaseless product: exponents add componentwise mod d."""
-    return ((a[0] + b[0]) % d, (a[1] + b[1]) % d)
-
-
-def gpm_inverse(a: Gpm, d: int) -> Gpm:
-    return (-a[0] % d, -a[1] % d)
 
 
 def weyl_exponent(a: Gpm, b: Gpm, d: int) -> int:
@@ -102,8 +95,8 @@ class GbsSet:
         return parse_gbs_set(text, d)
 
     def literal(self) -> str:
-        """Wire form: elements joined by ';', coordinates by ','."""
-        return ";".join(f"{m},{n}" for m, n in self.elements)
+        """Wire form, as written by format_gbs_set."""
+        return format_gbs_set(self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -133,6 +126,31 @@ def parse_gbs_set(text: str, d: int) -> GbsSet:
             ) from None
         elements.append(pair)
     return GbsSet(d, tuple(elements))
+
+
+def format_gbs_set(elements) -> str:
+    """Wire form of (m, n) pairs: elements joined by ';', coordinates by ','."""
+    return ";".join(f"{m},{n}" for m, n in elements)
+
+
+def load_set_rows(path, d: int) -> tuple[GbsSet, ...]:
+    """Read a file with one set literal per line; blank lines and '#'
+    comments are skipped.  Any bad line, or bytes that are not UTF-8,
+    raise SetFormatError naming the path (and the line)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SetFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append(parse_gbs_set(line, d))
+        except SetFormatError as exc:
+            raise SetFormatError(f"{path}:{lineno}: {exc}") from None
+    return tuple(rows)
 
 
 def difference_set(S: GbsSet) -> frozenset[Gpm]:

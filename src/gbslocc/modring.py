@@ -15,7 +15,6 @@ __all__ = [
     "mod_inverse",
     "solve_linear_congruence",
     "solve_weyl_congruence",
-    "weyl_solution_count",
     "is_prime",
     "smallest_prime_factor",
 ]
@@ -107,16 +106,6 @@ def _weyl_solutions(m, n, d):
             for oy in offsets:
                 sols.add((x, (yk + oy) % d))
     return frozenset(sols)
-
-
-def weyl_solution_count(m: int, n: int, d: int) -> int:
-    """Size d * gcd(m, n, d) of the commutant of a non-identity label."""
-    _check_modulus(d)
-    m %= d
-    n %= d
-    if m == 0 and n == 0:
-        raise ValueError("count law applies to non-identity labels only")
-    return d * gcd(gcd(m, n), d)
 
 
 def smallest_prime_factor(d: int) -> int:

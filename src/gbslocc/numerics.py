@@ -23,12 +23,10 @@ __all__ = [
     "gpm_matrix",
     "weyl_relation_check",
     "eigensystem",
-    "witness_overlap_check",
     "one_way_gram_check",
     "commuting_witness",
     "composite_witness",
     "max_abs_expectation",
-    "trace_check",
 ]
 
 VERIFY_TOL = 1e-9
@@ -66,28 +64,6 @@ def eigensystem(U) -> tuple[np.ndarray, np.ndarray]:
     """
     t, z = schur(np.asarray(U, dtype=complex), output="complex")
     return np.diag(t).copy(), z
-
-
-def witness_overlap_check(witness, deltas, d: int) -> float:
-    """Max |<v|U|v>| over eigenvectors v of the witness and symbols U in deltas.
-
-    Requires the witness to commute with none of the deltas; each Bv then
-    sits in a rotated eigenspace orthogonal to v, so the exact value is 0.
-    """
-    deltas = sorted(deltas)
-    for delta in deltas:
-        if commutes(witness, delta, d):
-            raise ValueError(
-                f"witness {witness} commutes with {delta}; "
-                "the overlap identity needs a fully non-commuting witness"
-            )
-    _, vecs = eigensystem(gpm_matrix(witness, d))
-    worst = 0.0
-    for delta in deltas:
-        u = gpm_matrix(delta, d)
-        overlaps = np.abs(np.einsum("ji,jk,ki->i", vecs.conj(), u, vecs))
-        worst = max(worst, float(overlaps.max()))
-    return worst
 
 
 def one_way_gram_check(S: GbsSet, witness) -> float:
@@ -214,8 +190,3 @@ def max_abs_expectation(vec, symbols, d: int) -> float:
     for g in sorted(symbols):
         worst = max(worst, float(abs(np.vdot(v, gpm_matrix(g, d) @ v))))
     return worst
-
-
-def trace_check(g, d: int) -> complex:
-    """Trace of the symbol's dense matrix: d for the identity, 0 otherwise."""
-    return complex(np.trace(gpm_matrix(g, d)))

@@ -8,12 +8,11 @@ from gbslocc.catalog import (
     golden_class_sizes,
     golden_indistinguishable,
     gpm_word,
-    load_set_rows,
     representatives,
     set_label,
 )
 from gbslocc.decide import DISTINGUISHABLE, INDISTINGUISHABLE
-from gbslocc.gpm import GbsSet, SetFormatError
+from gbslocc.gpm import GbsSet, SetFormatError, load_set_rows
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "gbslocc" / "data"
 
@@ -100,12 +99,19 @@ def test_fixture_files_round_trip_byte_identical():
 def test_load_set_rows_skips_comments_and_reports_position(tmp_path):
     good = tmp_path / "rows.txt"
     good.write_text("# header\n\n0,0;1,0\n0,0;0,1\n", encoding="utf-8")
-    assert load_set_rows(good, d=4) == (((0, 0), (1, 0)), ((0, 0), (0, 1)))
+    assert load_set_rows(good, d=4) == (
+        GbsSet(4, ((0, 0), (1, 0))), GbsSet(4, ((0, 0), (0, 1))),
+    )
 
     bad = tmp_path / "bad.txt"
     bad.write_text("0,0;1,0\n0,0;9,9\n", encoding="utf-8")
     with pytest.raises(SetFormatError, match="bad.txt:2"):
         load_set_rows(bad, d=4)
+
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"0,0;1,0\n# caf\xe9\n")
+    with pytest.raises(SetFormatError, match="latin1.txt: not valid UTF-8"):
+        load_set_rows(latin1, d=4)
 
 
 def test_example_fixture_labels_are_unique():

@@ -104,28 +104,13 @@ def test_check_batch_reports_line_numbers(capsys, tmp_path):
     assert ":2:" in err
 
 
-def test_check_batch_worker_override_is_output_invariant(capsys, tmp_path, monkeypatch):
+def test_check_batch_rejects_non_utf8_file(capsys, tmp_path):
     batch = tmp_path / "sets.txt"
-    batch.write_text(
-        "\n".join(f"0,0;0,1;1,0;{m},{n}" for m in range(2, 4) for n in range(4)) + "\n",
-        encoding="utf-8",
-    )
-    monkeypatch.delenv("GBS_LOCC_THREADS", raising=False)
-    code, serial, _ = run_cli(capsys, "check", "-d", "4", "--file", str(batch), "--json")
-    assert code == 0
-    monkeypatch.setenv("GBS_LOCC_THREADS", "4")
-    code, threaded, _ = run_cli(
-        capsys, "check", "-d", "4", "--file", str(batch), "--json"
-    )
-    assert code == 0
-    assert threaded == serial
-    monkeypatch.setenv("GBS_LOCC_THREADS", "nonsense")
-    code, fallback, err = run_cli(
-        capsys, "check", "-d", "4", "--file", str(batch), "--json"
-    )
-    assert code == 0
-    assert fallback == serial
-    assert "GBS_LOCC_THREADS" in err
+    batch.write_bytes(b"0,0;0,1\n# caf\xe9\n")
+    code, out, err = run_cli(capsys, "check", "-d", "4", "--file", str(batch))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "sets.txt" in err
 
 
 def test_classify_golden_match(capsys):
@@ -177,6 +162,27 @@ def test_classify_reps_file(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["covered"] == 1
     assert len(payload["uncovered"]) == 454
+
+
+def test_classify_reps_file_bad_line_is_bad_input(capsys, tmp_path):
+    reps = tmp_path / "reps.txt"
+    reps.write_text("0,0;9,9;1,0;0,1\n", encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "classify", "-d", "4", "-k", "4", "--reps-file", str(reps)
+    )
+    assert code == 2
+    assert "reps.txt:1:" in err
+
+
+def test_classify_reps_file_rejects_non_utf8(capsys, tmp_path):
+    reps = tmp_path / "reps.txt"
+    reps.write_bytes(b"0,0;2,0;0,2;2,2\n# caf\xe9\n")
+    code, out, err = run_cli(
+        capsys, "classify", "-d", "4", "-k", "4", "--reps-file", str(reps)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "reps.txt" in err
 
 
 def test_classify_reps_file_golden_mismatch(capsys, tmp_path):

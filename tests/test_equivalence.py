@@ -5,7 +5,6 @@ import pytest
 from gbslocc.catalog import representatives
 from gbslocc.equivalence import (
     anchored_translate,
-    canonical_form,
     classify,
     membership,
     orbit,
@@ -20,12 +19,6 @@ def test_anchored_translate_lands_on_identity():
         translated = anchored_translate(S, i)
         assert (0, 0) in translated
         assert translated == tuple(sorted(translated))
-
-
-def test_canonical_form_requires_standard_set():
-    assert canonical_form(GbsSet(4, ((1, 0), (0, 0)))) == ((0, 0), (1, 0))
-    with pytest.raises(ValueError):
-        canonical_form(GbsSet(4, ((1, 0), (2, 0))))
 
 
 def test_orbit_sizes_of_the_three_small_classes():

@@ -10,7 +10,6 @@ from gbslocc.modring import (
     smallest_prime_factor,
     solve_linear_congruence,
     solve_weyl_congruence,
-    weyl_solution_count,
 )
 from oracles import brute_congruence_solutions, brute_inverse, brute_weyl_solutions
 
@@ -76,16 +75,12 @@ def test_weyl_congruence_count_law():
         for m, n in product(range(d), repeat=2):
             if (m, n) == (0, 0):
                 continue
-            count = weyl_solution_count(m, n, d)
-            assert count == d * math.gcd(math.gcd(m, n), d)
-            assert count == len(solve_weyl_congruence(m, n, d))
+            assert len(solve_weyl_congruence(m, n, d)) == d * math.gcd(math.gcd(m, n), d)
 
 
 def test_weyl_congruence_identity_generator():
     # Everything commutes with the identity.
     assert len(solve_weyl_congruence(0, 0, 6)) == 36
-    with pytest.raises(ValueError):
-        weyl_solution_count(0, 0, 6)
 
 
 def test_weyl_congruence_spot_values():

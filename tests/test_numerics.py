@@ -12,9 +12,7 @@ from gbslocc.numerics import (
     gpm_matrix,
     max_abs_expectation,
     one_way_gram_check,
-    trace_check,
     weyl_relation_check,
-    witness_overlap_check,
 )
 from oracles import brute_gpm_matrix
 
@@ -48,9 +46,9 @@ def test_gpm_matrix_dimension_guard():
 
 def test_trace_vanishes_off_identity():
     for d in (3, 4, 6):
-        assert abs(trace_check((0, 0), d) - d) < 1e-12
+        assert abs(np.trace(gpm_matrix((0, 0), d)) - d) < 1e-12
         for g in all_gpms(d) - {(0, 0)}:
-            assert abs(trace_check(g, d)) < 1e-12
+            assert abs(np.trace(gpm_matrix(g, d))) < 1e-12
 
 
 def test_weyl_relation_at_matrix_level():
@@ -82,16 +80,6 @@ def test_eigensystem_handles_degenerate_spectra():
     np.testing.assert_allclose(
         vectors.conj().T @ vectors, np.eye(4), atol=EIGEN_TOL
     )
-
-
-def test_witness_overlap_check_on_worked_example():
-    deltas = difference_set(L1)
-    assert witness_overlap_check((2, 3), deltas, 6) < VERIFY_TOL
-
-
-def test_witness_overlap_check_rejects_commuting_witness():
-    with pytest.raises(ValueError):
-        witness_overlap_check((0, 1), {(0, 2)}, 4)
 
 
 def test_one_way_gram_check_certifies_discriminant_witnesses():
