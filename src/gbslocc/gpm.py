@@ -135,10 +135,11 @@ def format_gbs_set(elements) -> str:
 
 def load_set_rows(path, d: int) -> tuple[GbsSet, ...]:
     """Read a file with one set literal per line; blank lines and '#'
-    comments are skipped.  Any bad line, or bytes that are not UTF-8,
-    raise SetFormatError naming the path (and the line)."""
+    comments are skipped, and so is a leading byte-order mark.  Any bad
+    line, or bytes that are not UTF-8, raise SetFormatError naming the path
+    (and the line)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SetFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     rows = []

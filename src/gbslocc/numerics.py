@@ -1,10 +1,13 @@
-"""Dense complex-matrix verification of the symbolic verdicts.
+"""Closed-form certificates, checked against dense matrices.
 
-Every certificate the decision layer emits can be checked against explicit
-unitaries: discriminant witnesses must turn into perfectly orthogonal
-residual states on Bob's side, commutative difference sets must admit a
-common eigenvector with vanishing expectations, and factor-pair witnesses
-must be shared eigenstates of the chosen shift and clock powers.  The
+Every certificate the decision layer emits has an exact closed form over
+Z_d, and each is built from it with integer exponents and then measured
+against explicit unitaries.  A discriminant witness X^m Z^n permutes the
+basis along cycles, so its eigenbasis is a phased Fourier basis on each
+cycle; Alice measures in it, and Bob's residual states must be pairwise
+orthogonal.  Commutative difference sets and factor-pair witnesses are both
+served by a comb, a uniform superposition over an arithmetic progression of
+basis states, whose expectation on every difference vanishes.  The
 maximally entangled reference state is never materialized; acting on one
 half of it turns overlap checks into d x d Gram computations.
 """
@@ -12,14 +15,12 @@ half of it turns overlap checks into d x d Gram computations.
 from math import gcd
 
 import numpy as np
-from scipy.linalg import schur
 
 from .gpm import GbsSet, commutes, difference_set, is_commutative, weyl_exponent
 from .modring import is_prime, smallest_prime_factor
 
 __all__ = [
     "VERIFY_TOL",
-    "EIGEN_TOL",
     "gpm_matrix",
     "weyl_relation_check",
     "eigensystem",
@@ -30,16 +31,18 @@ __all__ = [
 ]
 
 VERIFY_TOL = 1e-9
-EIGEN_TOL = 1e-8
 
 _MAX_DENSE_DIM = 64
-_COMBO_SEED = 1729  # fixed so the random linear combination is reproducible
+
+
+def _check_dense_dim(d: int) -> None:
+    if not 2 <= d <= _MAX_DENSE_DIM:
+        raise ValueError(f"dense matrices support 2 <= d <= {_MAX_DENSE_DIM}, got {d}")
 
 
 def gpm_matrix(g, d: int) -> np.ndarray:
     """Dense unitary for the symbol (m, n): column c maps to omega^{n c} row c+m."""
-    if not 2 <= d <= _MAX_DENSE_DIM:
-        raise ValueError(f"dense matrices support 2 <= d <= {_MAX_DENSE_DIM}, got {d}")
+    _check_dense_dim(d)
     m, n = g[0] % d, g[1] % d
     cols = np.arange(d)
     out = np.zeros((d, d), dtype=complex)
@@ -54,24 +57,42 @@ def weyl_relation_check(a, b, d: int) -> float:
     return float(np.max(np.abs(ma @ mb - phase * (mb @ ma))))
 
 
-def eigensystem(U) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a unitary via its complex Schur form.
+def eigensystem(g, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact eigen-decomposition of the unitary for the symbol (m, n).
 
-    Returns (eigenvalues, vectors) with vectors[:, i] the unit eigenvector
-    for eigenvalues[i].  The Schur basis of a normal matrix diagonalizes it,
-    so the columns stay orthonormal even inside degenerate eigenspaces.
-    Convergence failures from the underlying LAPACK call propagate as-is.
+    X^m Z^n permutes the basis along gcd(m, d) cycles c_j = c_0 + j m of
+    length L = d / gcd(m, d).  With theta_j = sum_{i<j} n c_i and
+    Theta = theta_L, the eigenvalues on a cycle are the L roots of
+    lambda^L = omega^Theta, and the eigenvector for lambda has entries
+    v[c_j] = omega^{theta_j} lambda^{-j} / sqrt(L).  Disjoint cycles and
+    distinct roots make the columns orthonormal.  Returns (eigenvalues,
+    vectors) with vectors[:, i] the eigenvector for eigenvalues[i]; every
+    phase is an integer power of exp(2 pi i / (L d)), reduced before use.
     """
-    t, z = schur(np.asarray(U, dtype=complex), output="complex")
-    return np.diag(t).copy(), z
+    _check_dense_dim(d)
+    m, n = g[0] % d, g[1] % d
+    cycles = gcd(m, d)
+    length = d // cycles
+    order = length * d
+    j = np.arange(length)
+    rows = (np.arange(cycles)[:, None] + j * m) % d            # rows[c_0, j] = c_j
+    theta = n * (np.cumsum(rows, axis=1) - rows) % d
+    roots = (n * rows.sum(axis=1) % d)[:, None] + j * d        # lambda_k^L = omega^Theta
+    expo = (length * theta[:, :, None] - j[:, None] * roots[:, None, :]) % order
+    vectors = np.zeros((d, d), dtype=complex)
+    cols = np.arange(cycles)[:, None] * length + j
+    vectors[rows[:, :, None], cols[:, None, :]] = np.exp(2j * np.pi * expo / order) / np.sqrt(length)
+    return np.exp(2j * np.pi * roots.ravel() / order), vectors
 
 
 def one_way_gram_check(S: GbsSet, witness) -> float:
-    """Largest off-diagonal Gram entry of Bob's residual states.
+    """Largest deviation of the witness protocol from a perfect one.
 
     Alice measures in the witness eigenbasis; for each eigenvector v the
     states U_i v (U_i running over S) must be pairwise orthogonal for the
     protocol to be perfect.  The witness must lie in the discriminant set.
+    The closed-form basis is measured too: its residual against the dense
+    witness matrix and its distance from orthonormality are folded in.
     """
     d = S.d
     for delta in sorted(difference_set(S)):
@@ -80,107 +101,69 @@ def one_way_gram_check(S: GbsSet, witness) -> float:
                 f"witness {witness} commutes with difference {delta}; "
                 "it does not lie in the discriminant set"
             )
-    _, vecs = eigensystem(gpm_matrix(witness, d))
-    mats = [gpm_matrix(g, d) for g in S.elements]
-    size = len(mats)
-    if size == 1:
+    if len(S) == 1:
         return 0.0
-    off = ~np.eye(size, dtype=bool)
-    worst = 0.0
-    for col in range(d):
-        v = vecs[:, col]
-        bob = np.column_stack([u @ v for u in mats])
-        gram = bob.conj().T @ bob
-        worst = max(worst, float(np.abs(gram[off]).max()))
-    return worst
+    values, vecs = eigensystem(witness, d)
+    basis = max(
+        np.abs(gpm_matrix(witness, d) @ vecs - vecs * values).max(),
+        np.abs(vecs.conj().T @ vecs - np.eye(d)).max(),
+    )
+    # bob[col] has U_i v_col as its column i.
+    bob = np.stack([gpm_matrix(g, d) @ vecs for g in S.elements], axis=2).transpose(1, 0, 2)
+    gram = bob.conj().transpose(0, 2, 1) @ bob
+    off = ~np.eye(len(S), dtype=bool)
+    return float(max(basis, np.abs(gram[:, off]).max()))
 
 
-def _cluster_eigenvalues(w, tol):
-    order = np.lexsort((np.round(w.imag, 9), np.round(w.real, 9)))
-    groups: list[list[int]] = []
-    reps: list[complex] = []
-    for i in order:
-        for gi, rep in enumerate(reps):
-            if abs(w[i] - rep) < tol:
-                groups[gi].append(i)
-                break
-        else:
-            groups.append([i])
-            reps.append(w[i])
-    return [np.asarray(g) for g in groups]
-
-
-def _split_block(basis, mat, tol):
-    if basis.shape[1] == 1:
-        return [basis]
-    sub = basis.conj().T @ mat @ basis
-    t, z = schur(sub, output="complex")
-    return [basis @ z[:, idx] for idx in _cluster_eigenvalues(np.diag(t), tol)]
-
-
-def _joint_diagonalizer(mats, dim, tol=1e-8):
-    """Unitary whose columns jointly diagonalize a commuting normal family.
-
-    Schur-decomposes a fixed-seed random real combination first, then splits
-    any block that stayed degenerate against each family member in turn.
-    Surviving multi-dimensional blocks are joint eigenspaces, where any
-    orthonormal basis serves.
-    """
-    rng = np.random.default_rng(_COMBO_SEED)
-    coeffs = rng.standard_normal(len(mats))
-    combo = sum(c * m for c, m in zip(coeffs, mats))
-    blocks = [np.eye(dim, dtype=complex)]
-    for mat in [combo, *mats]:
-        blocks = [piece for b in blocks for piece in _split_block(b, mat, tol)]
-        if all(b.shape[1] == 1 for b in blocks):
-            break
-    return np.hstack(blocks)
+def _comb(d: int, stride: int, teeth: int) -> np.ndarray:
+    """Unit vector (|0> + |stride> + ... + |(teeth-1) stride>) / sqrt(teeth)."""
+    vec = np.zeros(d, dtype=complex)
+    vec[np.arange(teeth) * stride] = 1 / np.sqrt(teeth)
+    return vec
 
 
 def commuting_witness(S: GbsSet) -> np.ndarray:
     """Unit vector with vanishing expectation on every difference of S.
 
-    Valid when the difference set pairwise commutes: in a joint eigenbasis Q
-    each difference is diagonal and traceless, so Q applied to the uniform
-    vector averages each spectrum to zero exactly.
+    Commuting differences generate an isotropic subgroup, which lies in a
+    Lagrangian <(a, b), (0, d/a)> for some divisor a of d.  The comb
+    (|0> + ... + |a-1>) / sqrt(a) has zero expectation on (m, n) when
+    a <= m <= d - a (the shifted comb misses itself) or when m = 0 and
+    a n = 0 mod d (the clock phases sum to zero), and every nonzero member
+    of that Lagrangian is of one of these kinds.  Returns the comb for the
+    least divisor a that every difference passes.
     """
     d = S.d
-    deltas = sorted(difference_set(S))
+    deltas = difference_set(S)
     if not is_commutative(deltas, d):
         raise ValueError("difference set is not commutative; no common eigenbasis exists")
-    beta = np.full(d, 1 / np.sqrt(d), dtype=complex)
-    if not deltas:
-        return beta
-    q = _joint_diagonalizer([gpm_matrix(g, d) for g in deltas], d)
-    return q @ beta
+    a = min(
+        a for a in range(1, d + 1)
+        if d % a == 0
+        and all(a <= m <= d - a or (m == 0 and a * n % d == 0) for m, n in deltas)
+    )
+    return _comb(d, 1, a)
 
 
-def composite_witness(S: GbsSet, s: int | None = None, t: int | None = None) -> np.ndarray:
+def composite_witness(S: GbsSet) -> np.ndarray:
     """Shared unit eigenstate of the shift power (s, 0) and clock power (0, t).
 
-    Defaults to s = smallest prime factor of d, t = d // s.  Requires
-    composite d and every difference of S to carry an invertible coordinate;
-    the returned uniform comb over {0, s, ..., (t-1) s} then has exactly
-    vanishing expectation on each difference.
+    s is the smallest prime factor of composite d and t = d // s, the factor
+    pair decide() reports.  Requires every difference of S to carry an
+    invertible coordinate; the comb over {0, s, ..., (t-1) s} then has
+    exactly vanishing expectation on each difference.
     """
     d = S.d
     if is_prime(d):
         raise ValueError(f"modulus {d} is prime; no nontrivial factor pair exists")
-    if s is None:
-        s = smallest_prime_factor(d)
-    if t is None:
-        t = d // s
-    if s < 2 or t < 2 or s * t != d:
-        raise ValueError(f"invalid factor pair ({s}, {t}) for modulus {d}")
     for m, n in sorted(difference_set(S)):
         if gcd(m, d) != 1 and gcd(n, d) != 1:
             raise ValueError(
                 f"difference ({m},{n}) has no invertible coordinate; "
                 "the factor-pair witness does not apply"
             )
-    gamma = np.zeros(d, dtype=complex)
-    gamma[np.arange(t) * s] = 1 / np.sqrt(t)
-    return gamma
+    s = smallest_prime_factor(d)
+    return _comb(d, s, d // s)
 
 
 def max_abs_expectation(vec, symbols, d: int) -> float:

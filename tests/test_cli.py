@@ -113,6 +113,17 @@ def test_check_batch_rejects_non_utf8_file(capsys, tmp_path):
     assert err.startswith("error:") and "sets.txt" in err
 
 
+def test_check_batch_skips_byte_order_mark(capsys, tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(b"0,0;0,1\n1,2;1,0;3,2;3,0\n")
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for extra in ((), ("--json",)):
+        expected = run_cli(capsys, "check", "-d", "4", "--file", str(plain), *extra)
+        assert expected[0] == 0
+        assert run_cli(capsys, "check", "-d", "4", "--file", str(marked), *extra) == expected
+
+
 def test_classify_golden_match(capsys):
     code, out, _ = run_cli(capsys, "classify", "-d", "4", "-k", "4", "--golden")
     assert code == 0

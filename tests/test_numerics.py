@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gbslocc.decide import decide, discriminant_set
-from gbslocc.gpm import GbsSet, all_gpms, difference_set
+from gbslocc.gpm import GbsSet, all_gpms, difference_set, is_commutative
 from gbslocc.numerics import (
-    EIGEN_TOL,
     VERIFY_TOL,
     commuting_witness,
     composite_witness,
@@ -20,6 +24,12 @@ L1 = GbsSet(6, ((0, 0), (0, 1), (1, 0), (1, 4), (5, 5)))
 L2 = GbsSet(4, ((1, 2), (1, 0), (3, 2), (3, 0)))
 L4 = GbsSet(4, ((1, 2), (1, 3), (2, 2), (0, 1)))
 K4 = GbsSet(4, ((0, 0), (2, 0), (0, 2), (2, 2)))
+
+# The certificates are exact closed forms; only rounding separates them
+# from the dense matrices.
+CLOSED_FORM_TOL = 1e-12
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_gpm_matrix_matches_shift_clock_products():
@@ -60,25 +70,34 @@ def test_weyl_relation_at_matrix_level():
     assert worst < VERIFY_TOL
 
 
+def _assert_diagonalizes(g, d):
+    u = gpm_matrix(g, d)
+    values, vectors = eigensystem(g, d)
+    np.testing.assert_allclose(
+        u @ vectors, vectors * values[None, :], rtol=0, atol=CLOSED_FORM_TOL
+    )
+    np.testing.assert_allclose(
+        vectors.conj().T @ vectors, np.eye(d), rtol=0, atol=CLOSED_FORM_TOL
+    )
+
+
 def test_eigensystem_residual_and_orthonormality():
-    for d in (4, 5, 6):
+    for d in range(2, 17):
         for g in sorted(all_gpms(d)):
-            u = gpm_matrix(g, d)
-            values, vectors = eigensystem(u)
-            np.testing.assert_allclose(
-                u @ vectors, vectors * values[None, :], atol=EIGEN_TOL
-            )
-            np.testing.assert_allclose(
-                vectors.conj().T @ vectors, np.eye(d), atol=EIGEN_TOL
-            )
+            _assert_diagonalizes(g, d)
+    # The shifts give every cycle length 1, 2, 4, ..., 64.
+    sample = (0, 1, 2, 3, 4, 8, 16, 21, 32, 63)
+    for m in sample:
+        for n in sample:
+            _assert_diagonalizes((m, n), 64)
 
 
 def test_eigensystem_handles_degenerate_spectra():
     # X^2 at d = 4 has eigenvalues +-1, each twice.
-    values, vectors = eigensystem(gpm_matrix((2, 0), 4))
+    values, vectors = eigensystem((2, 0), 4)
     assert sorted(np.round(values.real).astype(int)) == [-1, -1, 1, 1]
     np.testing.assert_allclose(
-        vectors.conj().T @ vectors, np.eye(4), atol=EIGEN_TOL
+        vectors.conj().T @ vectors, np.eye(4), rtol=0, atol=CLOSED_FORM_TOL
     )
 
 
@@ -105,6 +124,49 @@ def test_commuting_witness_kills_all_differences():
         assert max_abs_expectation(vec, difference_set(S), S.d) < VERIFY_TOL
 
 
+def _subgroups(d):
+    """Every subgroup of Z_d^2, once each, in Hermite normal form
+    <(a, b), (0, c)> with a | d, c | d, 0 <= b < c and (d / a) b = 0 mod c."""
+    divisors = [a for a in range(1, d + 1) if d % a == 0]
+    for a in divisors:
+        for c in divisors:
+            for b in range(c):
+                if (d // a) * b % c == 0:
+                    yield frozenset(
+                        (t * a % d, (t * b + u * c) % d)
+                        for t in range(d // a)
+                        for u in range(d // c)
+                    )
+
+
+def test_subgroup_enumeration_matches_spans_of_pairs():
+    for d in range(2, 7):
+        gpms = sorted(all_gpms(d))
+        spans = {
+            frozenset(
+                ((t * a[0] + u * b[0]) % d, (t * a[1] + u * b[1]) % d)
+                for t in range(d)
+                for u in range(d)
+            )
+            for a in gpms
+            for b in gpms
+        }
+        listed = list(_subgroups(d))
+        assert len(listed) == len(set(listed))
+        assert set(listed) == spans
+
+
+def test_commuting_witness_covers_every_isotropic_subgroup():
+    for d in range(2, 13):
+        for H in _subgroups(d):
+            if not is_commutative(H, d):
+                continue
+            S = GbsSet(d, tuple(sorted(H)))
+            vec = commuting_witness(S)
+            assert abs(np.linalg.norm(vec) - 1.0) < CLOSED_FORM_TOL
+            assert max_abs_expectation(vec, difference_set(S), d) < CLOSED_FORM_TOL
+
+
 def test_commuting_witness_rejects_noncommutative_differences():
     with pytest.raises(ValueError):
         commuting_witness(GbsSet(4, ((0, 0), (1, 0), (0, 1), (2, 0))))
@@ -115,13 +177,6 @@ def test_composite_witness_kills_all_differences():
         vec = composite_witness(S)
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
         assert max_abs_expectation(vec, difference_set(S), S.d) < VERIFY_TOL
-
-
-def test_composite_witness_explicit_factors():
-    vec = composite_witness(L4, 2, 2)
-    assert max_abs_expectation(vec, difference_set(L4), 4) < VERIFY_TOL
-    with pytest.raises(ValueError):
-        composite_witness(L4, 2, 3)
 
 
 def test_composite_witness_rejects_prime_modulus():
@@ -140,3 +195,23 @@ def test_max_abs_expectation_known_value():
     vec = np.zeros(4, dtype=complex)
     vec[0] = 1.0
     assert abs(max_abs_expectation(vec, {(0, 1)}, 4) - 1.0) < 1e-12
+
+
+def test_cli_import_adds_no_third_party_package():
+    # numpy is the only third-party dependency, so once it is loaded the
+    # command line must pull in nothing beyond the standard library.
+    probe = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import gbslocc.cli\n"
+        "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'gbslocc', 'numpy'}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
