@@ -14,6 +14,7 @@ diagnostics to stderr.
 
 import argparse
 import json
+import signal
 import sys
 
 from . import catalog
@@ -21,13 +22,6 @@ from .decide import DISTINGUISHABLE, INDISTINGUISHABLE, SMALL_SET, decide, slope
 from .decide import COMMUTATIVE, DISCRIMINANT, INVERTIBLE
 from .equivalence import classify, orbit
 from .gpm import INF, GbsSet, SetFormatError, difference_set, format_gbs_set, load_set_rows
-from .numerics import (
-    VERIFY_TOL,
-    commuting_witness,
-    composite_witness,
-    max_abs_expectation,
-    one_way_gram_check,
-)
 
 EXIT_OK = 0
 EXIT_DEVIATION = 1
@@ -279,6 +273,15 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # numpy is imported here, so the exact subcommands start without it.
+    from .numerics import (
+        VERIFY_TOL,
+        commuting_witness,
+        composite_witness,
+        max_abs_expectation,
+        one_way_gram_check,
+    )
+
     try:
         S = GbsSet.parse(args.set, args.d)
     except SetFormatError as exc:
@@ -438,6 +441,11 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # A reader that closes the pipe early (`gbslocc check ... | head -1`)
+    # ends the process quietly, as it would `cat`, instead of surfacing a
+    # BrokenPipeError as a traceback and exit status 1.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

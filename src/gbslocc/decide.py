@@ -2,7 +2,13 @@
 
 The engine works entirely on the difference set Delta(S) = {a - b} of the
 input.  A discriminant symbol T commuting with nothing in Delta(S) turns the
-eigenbasis of its matrix into a perfect one-way protocol; a fully
+eigenbasis of its matrix into a perfect one-way protocol.  The reported
+witness is the lexicographically least such T, found by scanning rows
+x = 0, 1, ... of Z_d x Z_d and stopping at the first free y: in row x the
+symbols commuting with a difference (m, n) form a comb of gcd(m, d) teeth
+at stride d / gcd(m, d), or nothing, so each row is one bitmask of d bits.
+The discriminant set itself can have about d^2 members; decide never
+builds it, and its memory stays linear in d.  A fully
 commutative Delta(S) admits a common eigenvector witness; and for composite
 d a difference set whose members each carry an invertible coordinate admits
 a shared eigenstate of a factor pair of shift/clock powers.  Those three
@@ -13,6 +19,7 @@ than an unknown.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -20,12 +27,11 @@ from .gpm import (
     INF,
     GbsSet,
     Gpm,
-    all_gpms,
     difference_set,
     index_set,
     is_commutative,
 )
-from .modring import is_prime, smallest_prime_factor, solve_linear_congruence, solve_weyl_congruence
+from .modring import is_prime, smallest_prime_factor, solve_linear_congruence
 
 __all__ = [
     "DISTINGUISHABLE",
@@ -95,14 +101,58 @@ class DecisionReport:
     index_cardinality: int | None = None
 
 
-def discriminant_set(S: GbsSet) -> frozenset[Gpm]:
-    """All symbols that commute with no member of the difference set."""
+@lru_cache(maxsize=256)
+def _commuting_comb(m: int, n: int, d: int) -> tuple[int, tuple]:
+    """The symbols (x, y) commuting with (m, n), row by row.
+
+    They solve m*y = n*x (mod d).  With g = gcd(m, d) and q = d / g, row x
+    has solutions only when g divides n*x, and then they are
+    y = (n*x / g) * (m / g)^-1 (mod q): g teeth at stride q, shifted by an
+    offset below q.  Returns the unshifted comb as a bitmask over y and the
+    offset of each row, None for a row without solutions.  m = 0 needs no
+    special case: g = d and q = 1, so a row is either all covered or free.
+    """
+    g = gcd(m, d)
+    q = d // g
+    c = pow(m // g, -1, q)
+    comb = sum(1 << (t * q) for t in range(g))
+    offsets = tuple(
+        None if b % g else b // g * c % q
+        for b in (n * x % d for x in range(d))
+    )
+    return comb, offsets
+
+
+def _free_symbols(S: GbsSet):
+    """Yield the symbols commuting with no difference, in lexicographic order."""
     if len(S) < 2:
         raise ValueError("discriminant set needs at least two elements")
-    covered = frozenset().union(
-        *(solve_weyl_congruence(m, n, S.d) for m, n in difference_set(S))
-    )
-    return frozenset(all_gpms(S.d) - covered)
+    d = S.d
+    full = (1 << d) - 1
+    combs = [_commuting_comb(m, n, d) for m, n in difference_set(S)]
+    for x in range(d):
+        covered = 0
+        for comb, offsets in combs:
+            offset = offsets[x]
+            if offset is not None:
+                covered |= comb << offset
+        free = full ^ covered
+        while free:
+            low = free & -free
+            yield x, low.bit_length() - 1
+            free ^= low
+
+
+def discriminant_set(S: GbsSet) -> frozenset[Gpm]:
+    """All symbols that commute with no member of the difference set.
+
+    Rows x = 0, ..., d - 1 are scanned in turn: the symbols of row x that
+    commute with some difference are ORed into one d-bit mask, and its clear
+    bits are the members of that row.  decide runs the same scan and stops
+    at the first member, its witness; the whole set can hold about d^2
+    symbols, and decide never builds it.
+    """
+    return frozenset(_free_symbols(S))
 
 
 def condition_commutative(S: GbsSet) -> bool:
@@ -162,11 +212,11 @@ def decide(S: GbsSet) -> DecisionReport:
     if size >= d + 1:
         return DecisionReport(INDISTINGUISHABLE, FULL_LOCC, TOO_MANY, index_cardinality=idx)
 
-    witnesses = discriminant_set(S)
-    if witnesses:
+    witness = next(_free_symbols(S), None)
+    if witness is not None:
         return DecisionReport(
             DISTINGUISHABLE, ONE_WAY, DISCRIMINANT,
-            witness=min(witnesses), index_cardinality=idx,
+            witness=witness, index_cardinality=idx,
         )
     if condition_commutative(S):
         return DecisionReport(DISTINGUISHABLE, ONE_WAY, COMMUTATIVE, index_cardinality=idx)

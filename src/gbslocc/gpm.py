@@ -118,8 +118,14 @@ def parse_gbs_set(text: str, d: int) -> GbsSet:
             raise SetFormatError(
                 f"malformed element {token.strip()!r}: expected 'm,n'"
             )
+        m, n = parts[0].strip(), parts[1].strip()
         try:
-            pair = (int(parts[0]), int(parts[1]))
+            # A coordinate is an optional sign and ASCII digits.  int() also
+            # takes '1_0' and non-ASCII digits such as '\u0663'; on ASCII
+            # text without '_' it takes exactly the coordinates.
+            if "_" in token or not (m.isascii() and n.isascii()):
+                raise ValueError
+            pair = (int(m), int(n))
         except ValueError:
             raise SetFormatError(
                 f"malformed element {token.strip()!r}: coordinates must be integers"

@@ -27,6 +27,34 @@ def brute_weyl_solutions(m, n, d):
     )
 
 
+def brute_differences(elements, d):
+    return {
+        ((a - c) % d, (b - e) % d)
+        for (a, b) in elements for (c, e) in elements if (a, b) != (c, e)
+    }
+
+
+def _commutes_with_none(x, y, diffs, d):
+    return all((n * x - m * y) % d for m, n in diffs)
+
+
+def brute_discriminant_witness(elements, d):
+    """Least (x, y) whose Weyl exponent is nonzero against every difference."""
+    diffs = brute_differences(elements, d)
+    for x, y in product(range(d), repeat=2):
+        if _commutes_with_none(x, y, diffs, d):
+            return (x, y)
+    return None
+
+
+def brute_discriminant_set(elements, d):
+    diffs = brute_differences(elements, d)
+    return frozenset(
+        (x, y) for x, y in product(range(d), repeat=2)
+        if _commutes_with_none(x, y, diffs, d)
+    )
+
+
 def shift_matrix(d):
     out = np.zeros((d, d), dtype=complex)
     for j in range(d):

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gbslocc.catalog import golden_indistinguishable
 from gbslocc.cli import main, render_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +128,54 @@ def test_check_batch_skips_byte_order_mark(capsys, tmp_path):
         expected = run_cli(capsys, "check", "-d", "4", "--file", str(plain), *extra)
         assert expected[0] == 0
         assert run_cli(capsys, "check", "-d", "4", "--file", str(marked), *extra) == expected
+
+
+def test_check_batch_into_closed_pipe_ends_quietly(tmp_path):
+    # Like `gbslocc check --file big.txt | head -1`: far more output than a
+    # pipe buffers, and the reader leaves after one line.
+    batch = tmp_path / "sets.txt"
+    batch.write_text("0,0;0,1;1,0;1,2\n" * 20000, encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gbslocc.cli", "check", "-d", "4", "--file", str(batch)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.startswith(b"0,0;0,1;1,0;1,2  INDISTINGUISHABLE")
+    assert b"Traceback" not in err
+    # 1-5 are the documented outcomes; a closed pipe is none of them.
+    assert code not in range(1, 6)
+
+
+def test_exact_subcommands_do_not_import_numpy():
+    # Only verify needs dense matrices, so the others start without numpy.
+    probe = (
+        "import contextlib, io, sys\n"
+        "import gbslocc.cli\n"
+        "for argv in (['check', '-d', '6', '-s', '0,0;0,1;1,0;1,4;5,5'],\n"
+        "             ['classify', '-d', '4', '-k', '4', '--golden'],\n"
+        "             ['orbit', '-d', '4', '-s', '0,0;1,0;0,1;2,0'],\n"
+        "             ['tables', '--json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert gbslocc.cli.main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_classify_golden_match(capsys):

@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -25,6 +27,7 @@ from gbslocc.decide import (
 )
 from gbslocc.equivalence import anchored_translate
 from gbslocc.gpm import INF, GbsSet, all_gpms
+from oracles import brute_discriminant_set, brute_discriminant_witness
 
 L1 = GbsSet(6, ((0, 0), (0, 1), (1, 0), (1, 4), (5, 5)))
 L2 = GbsSet(4, ((1, 2), (1, 0), (3, 2), (3, 0)))
@@ -234,3 +237,49 @@ def test_index_cardinality_reported_only_for_prime_moduli():
     assert decide(GbsSet(5, ((0, 0), (0, 1), (1, 0)))).index_cardinality == 3
     assert decide(GbsSet(4, ((0, 0), (0, 1)))).index_cardinality is None
     assert decide(GbsSet(5, ((0, 0),))).index_cardinality is None
+
+
+def _oracle_sets():
+    for d, k in ((4, 4), (5, 4), (6, 4)):
+        yield from standard_sets(d, k)
+    rng = random.Random(20211)
+    moduli = (2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 16, 17, 25, 30, 31, 32, 36, 49, 60, 61, 64)
+    for _ in range(500):
+        d = rng.choice(moduli)
+        k = rng.randint(2, min(d + 1, 7))
+        symbols = rng.sample(range(d * d), k)
+        yield GbsSet(d, tuple(divmod(s, d) for s in symbols))
+
+
+def test_discriminant_scan_matches_brute_force_oracle():
+    # The row scan against a plain scan of all d^2 symbols: the witness is
+    # the least symbol commuting with no difference, DISCRIMINANT fires
+    # exactly when one exists past the size rules, and the full set agrees.
+    for S in _oracle_sets():
+        d = S.d
+        report = decide(S)
+        oracle = brute_discriminant_witness(S.elements, d)
+        past_size_rules = report.condition not in (SMALL_SET, TOO_MANY)
+        assert (report.condition == DISCRIMINANT) == (
+            oracle is not None and past_size_rules
+        ), S
+        if report.condition == DISCRIMINANT:
+            assert report.witness == oracle, S
+        assert discriminant_set(S) == brute_discriminant_set(S.elements, d), S
+
+
+@pytest.mark.parametrize("d, literal, verdict, witness", [
+    (1002, "0,0;0,501;501,0;501,501", INCONCLUSIVE, None),
+    (1009, "0,0;1,5;7,300;400,2;900,901", DISTINGUISHABLE, (0, 1)),
+])
+def test_decide_memory_stays_linear_at_large_d(d, literal, verdict, witness):
+    # A table of all d^2 symbols would take about 150 MB at d = 1009.
+    S = GbsSet.parse(literal, d)
+    tracemalloc.start()
+    try:
+        report = decide(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.verdict, report.witness) == (verdict, witness)
+    assert peak < 4 * 2**20

@@ -69,6 +69,7 @@ def test_parse_preserves_input_order():
 def test_parse_tolerates_whitespace():
     S = parse_gbs_set(" 0,0 ; 1,2 ", 4)
     assert S.elements == ((0, 0), (1, 2))
+    assert parse_gbs_set("+1 ,\t2;0, +0", 4).elements == ((1, 2), (0, 0))
 
 
 def test_parse_error_messages_are_specific():
@@ -80,6 +81,14 @@ def test_parse_error_messages_are_specific():
         parse_gbs_set("0,0;0,4", 4)
     with pytest.raises(SetFormatError, match="duplicate"):
         parse_gbs_set("1,2;1,2", 4)
+
+
+@pytest.mark.parametrize("literal", ["1_0,0;0,1", "\u0663,0;0,1"])
+def test_parse_rejects_what_only_int_accepts(literal):
+    # Underscore separators and non-ASCII digits are valid for int() but
+    # not coordinates: '1_0' would read as 10 and Arabic-Indic three as 3.
+    with pytest.raises(SetFormatError, match="must be integers"):
+        parse_gbs_set(literal, 12)
 
 
 def test_set_construction_guards():
