@@ -132,13 +132,23 @@ def _cmd_check(args) -> int:
         sets = load_set_rows(args.file, args.d)
     except (OSError, SetFormatError) as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
-    payloads = [_check_payload(S) for S in sets]
-
-    if args.json:
-        sys.stdout.write(render_json(payloads))
-    else:
-        for payload in payloads:
-            print(_batch_summary(payload))
+    # The whole file is parsed before the first write, so a bad line leaves
+    # stdout empty; then each set is decided and written in turn, and the
+    # payloads are never all held at once.
+    if not args.json:
+        for S in sets:
+            print(_batch_summary(_check_payload(S)))
+        return EXIT_OK
+    if not sets:
+        sys.stdout.write(render_json([]))
+        return EXIT_OK
+    # The bytes of render_json(payloads): each element indented one level.
+    separator = "[\n  "
+    for S in sets:
+        sys.stdout.write(separator)
+        sys.stdout.write(render_json(_check_payload(S))[:-1].replace("\n", "\n  "))
+        separator = ",\n  "
+    sys.stdout.write("\n]\n")
     return EXIT_OK
 
 

@@ -7,6 +7,8 @@ witness is the lexicographically least such T, found by scanning rows
 x = 0, 1, ... of Z_d x Z_d and stopping at the first free y: in row x the
 symbols commuting with a difference (m, n) form a comb of gcd(m, d) teeth
 at stride d / gcd(m, d), or nothing, so each row is one bitmask of d bits.
+Those rows come from modring.weyl_rows, the one solver of the commutation
+congruence, and the slope gap is row d - 1 of the same scan.
 The discriminant set itself can have about d^2 members; decide never
 builds it, and its memory stays linear in d.  A fully
 commutative Delta(S) admits a common eigenvector witness; and for composite
@@ -19,7 +21,6 @@ than an unknown.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -31,7 +32,7 @@ from .gpm import (
     index_set,
     is_commutative,
 )
-from .modring import is_prime, smallest_prime_factor, solve_linear_congruence
+from .modring import is_prime, set_bits, smallest_prime_factor, weyl_rows
 
 __all__ = [
     "DISTINGUISHABLE",
@@ -101,35 +102,13 @@ class DecisionReport:
     index_cardinality: int | None = None
 
 
-@lru_cache(maxsize=256)
-def _commuting_comb(m: int, n: int, d: int) -> tuple[int, tuple]:
-    """The symbols (x, y) commuting with (m, n), row by row.
-
-    They solve m*y = n*x (mod d).  With g = gcd(m, d) and q = d / g, row x
-    has solutions only when g divides n*x, and then they are
-    y = (n*x / g) * (m / g)^-1 (mod q): g teeth at stride q, shifted by an
-    offset below q.  Returns the unshifted comb as a bitmask over y and the
-    offset of each row, None for a row without solutions.  m = 0 needs no
-    special case: g = d and q = 1, so a row is either all covered or free.
-    """
-    g = gcd(m, d)
-    q = d // g
-    c = pow(m // g, -1, q)
-    comb = sum(1 << (t * q) for t in range(g))
-    offsets = tuple(
-        None if b % g else b // g * c % q
-        for b in (n * x % d for x in range(d))
-    )
-    return comb, offsets
-
-
 def _free_symbols(S: GbsSet):
     """Yield the symbols commuting with no difference, in lexicographic order."""
     if len(S) < 2:
         raise ValueError("discriminant set needs at least two elements")
     d = S.d
     full = (1 << d) - 1
-    combs = [_commuting_comb(m, n, d) for m, n in difference_set(S)]
+    combs = [weyl_rows(m, n, d) for m, n in difference_set(S)]
     for x in range(d):
         covered = 0
         for comb, offsets in combs:
@@ -175,17 +154,26 @@ def condition_invertible(S: GbsSet) -> bool:
 
 
 def slope_gap(S: GbsSet) -> SlopeGap:
-    """Excluded measurement parameters and whatever the pairs leave open."""
+    """Excluded measurement parameters and whatever the pairs leave open.
+
+    A pair excludes the finite y exactly when (d - 1, y) commutes with its
+    difference, so the finite exclusions are row d - 1 of the witness scan;
+    a pair with equal m excludes INF.
+    """
     if len(S) < 2:
         raise ValueError("slope gap needs at least two elements")
     d = S.d
+    covered = 0
     excluded = set()
     for (mi, ni), (mj, nj) in combinations(S.elements, 2):
-        a = (mi - mj) % d
-        if a == 0:
+        m = (mi - mj) % d
+        if m == 0:
             excluded.add(INF)
-        else:
-            excluded |= solve_linear_congruence(a, nj - ni, d)
+            continue
+        comb, offsets = weyl_rows(m, (ni - nj) % d, d)
+        if offsets[-1] is not None:
+            covered |= comb << offsets[-1]
+    excluded.update(set_bits(covered))
     admissible = frozenset(range(d)) | {INF}
     excluded = frozenset(excluded)
     return SlopeGap(d, admissible, excluded, admissible - excluded)

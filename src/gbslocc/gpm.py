@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
-from .modring import is_prime, mod_inverse
+from .modring import is_prime
 
 __all__ = [
     "INF",
@@ -189,7 +189,7 @@ def slope(g: Gpm, d: int):
         raise ValueError("the identity symbol has no slope")
     if m == 0:
         return INF
-    return mod_inverse(m, d) * n % d
+    return pow(m, -1, d) * n % d
 
 
 def index_set(S: GbsSet) -> frozenset:

@@ -1,73 +1,56 @@
-"""Exact arithmetic in Z_d: extended gcd, inverses, and congruence solvers.
+"""Exact arithmetic in Z_d: the Weyl congruence and prime factors.
 
-Every residue is normalized into [0, d) at the function boundary, and
-gcd(0, 0) is taken to be 0.  The solvers return complete solution sets as
-frozensets so callers (and tests) can compare them verbatim against
-brute-force scans.  All intermediates are Python ints, so moduli well past
-64 are safe from overflow.
+Two Weyl operators (m, n) and (x, y) commute exactly when
+n*x = m*y (mod d), and `weyl_rows` is the one solver of that congruence.
+It answers row by row: for each x, the y that solve it, as a d-bit comb.
+The witness scan of `decide` ORs these rows, the slope gap is row d - 1 of
+them (a pair excludes y exactly when (d - 1, y) commutes with its
+difference), and `solve_weyl_congruence` expands them into pairs.  All
+intermediates are Python ints, so moduli well past 64 are safe from
+overflow.
 """
 
 from functools import lru_cache
 from math import gcd
 
 __all__ = [
-    "gcd_ext",
-    "mod_inverse",
-    "solve_linear_congruence",
+    "weyl_rows",
+    "set_bits",
     "solve_weyl_congruence",
     "is_prime",
     "smallest_prime_factor",
 ]
 
 
-def _check_modulus(d):
-    if d < 2:
-        raise ValueError(f"modulus must be >= 2, got {d}")
+@lru_cache(maxsize=256)
+def weyl_rows(m: int, n: int, d: int) -> tuple[int, tuple]:
+    """The symbols (x, y) commuting with (m, n), row by row; m, n in [0, d).
 
-
-def gcd_ext(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: (g, u, v) with g = gcd(|a|, |b|) >= 0 and u*a + v*b = g."""
-    sa = -1 if a < 0 else 1
-    sb = -1 if b < 0 else 1
-    r0, r1 = abs(a), abs(b)
-    u0, u1 = 1, 0
-    v0, v1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return r0, sa * u0, sb * v0
-
-
-def mod_inverse(a: int, d: int) -> int | None:
-    """Inverse of a modulo d, or None when a is not invertible."""
-    _check_modulus(d)
-    g, u, _ = gcd_ext(a % d, d)
-    if g != 1:
-        return None
-    return u % d
-
-
-def solve_linear_congruence(a: int, b: int, d: int) -> frozenset[int]:
-    """All y in Z_d with a*y = b (mod d).
-
-    Empty when gcd(a, d) does not divide b; all of Z_d when a = b = 0.
+    They solve m*y = n*x (mod d).  With g = gcd(m, d) and q = d / g, row x
+    has solutions only when g divides n*x, and then they are
+    y = (n*x / g) * (m / g)^-1 (mod q): g teeth at stride q, shifted by an
+    offset below q.  Returns the unshifted comb as a bitmask over y and the
+    offset of each row, None for a row without solutions.  m = 0 needs no
+    special case: g = d and q = 1, so a row is either all covered or free.
     """
-    _check_modulus(d)
-    return _linear_solutions(a % d, b % d, d)
+    g = gcd(m, d)
+    q = d // g
+    c = pow(m // g, -1, q)
+    # Written out in binary, which is linear in d: a sum of g shifts is
+    # quadratic when g is large, and the repunit quotient
+    # (2^d - 1) // (2^q - 1) when g is small.
+    comb = int(("0" * (q - 1) + "1") * g, 2)
+    offsets = tuple(
+        None if b % g else b // g * c % q
+        for b in (n * x % d for x in range(d))
+    )
+    return comb, offsets
 
 
-@lru_cache(maxsize=65536)
-def _linear_solutions(a, b, d):
-    if a == 0:
-        return frozenset(range(d)) if b == 0 else frozenset()
-    g = gcd(a, d)
-    if b % g:
-        return frozenset()
-    dg = d // g
-    y0 = (b // g) * mod_inverse(a // g, dg) % dg
-    return frozenset(y0 + t * dg for t in range(g))
+def set_bits(mask: int) -> list[int]:
+    """Positions of the one bits of mask, ascending, in time linear in its width."""
+    # bin() read from its last digit; the reversed '0b' prefix holds no '1'.
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
 def solve_weyl_congruence(m: int, n: int, d: int) -> frozenset[tuple[int, int]]:
@@ -77,35 +60,15 @@ def solve_weyl_congruence(m: int, n: int, d: int) -> frozenset[tuple[int, int]]:
     and (x, y) commute.  The set has d * gcd(m, n, d) pairs for
     (m, n) != (0, 0) and all d^2 pairs for the identity label.
     """
-    _check_modulus(d)
-    return _weyl_solutions(m % d, n % d, d)
-
-
-@lru_cache(maxsize=65536)
-def _weyl_solutions(m, n, d):
-    if m == 0 and n == 0:
-        return frozenset((x, y) for x in range(d) for y in range(d))
-    if m == 0:
-        xs = range(0, d, d // gcd(n, d))
-        return frozenset((x, y) for x in xs for y in range(d))
-    if n == 0:
-        ys = range(0, d, d // gcd(m, d))
-        return frozenset((x, y) for x in range(d) for y in ys)
-    # Both coordinates nonzero: the solutions are the multiples of the
-    # primitive direction (m, n)/gcd(m, n), shifted independently in x and y
-    # by multiples of d / gcd(m, n, d).
-    g = gcd(m, n)
-    gd = gcd(g, d)
-    mg, ng = m // g, n // g
-    offsets = range(0, d, d // gd)
-    sols = set()
-    for k in range(d // gd):
-        xk, yk = mg * k, ng * k
-        for ox in offsets:
-            x = (xk + ox) % d
-            for oy in offsets:
-                sols.add((x, (yk + oy) % d))
-    return frozenset(sols)
+    if d < 2:
+        raise ValueError(f"modulus must be >= 2, got {d}")
+    comb, offsets = weyl_rows(m % d, n % d, d)
+    teeth = set_bits(comb)
+    return frozenset(
+        (x, y + offset)
+        for x, offset in enumerate(offsets) if offset is not None
+        for y in teeth
+    )
 
 
 def smallest_prime_factor(d: int) -> int:

@@ -10,13 +10,6 @@ from itertools import product
 import numpy as np
 
 
-def brute_inverse(a, d):
-    for x in range(d):
-        if (a * x) % d == 1:
-            return x
-    return None
-
-
 def brute_congruence_solutions(a, b, d):
     return frozenset(y for y in range(d) if (a * y - b) % d == 0)
 

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
 
 from gbslocc.catalog import golden_indistinguishable
 from gbslocc.cli import main, render_json
+from gbslocc.gpm import format_gbs_set
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -101,6 +103,19 @@ def test_check_batch_text_and_json(capsys, tmp_path):
     ]
     assert render_json(payloads) == out
 
+    # The JSON array is written one element at a time; with no sets or one
+    # set it still reads exactly as render_json of the whole list.
+    for text, count in (("# nothing here\n\n", 0), ("0,0;0,1;1,0;1,2\n", 1)):
+        batch.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "check", "-d", "4", "--file", str(batch))
+        assert code == 0
+        assert len(out.splitlines()) == count
+        code, out, _ = run_cli(capsys, "check", "-d", "4", "--file", str(batch), "--json")
+        assert code == 0
+        payloads = json.loads(out)
+        assert len(payloads) == count
+        assert render_json(payloads) == out
+
 
 def test_check_batch_reports_line_numbers(capsys, tmp_path):
     batch = tmp_path / "sets.txt"
@@ -153,6 +168,37 @@ def test_check_batch_into_closed_pipe_ends_quietly(tmp_path):
     assert b"Traceback" not in err
     # 1-5 are the documented outcomes; a closed pipe is none of them.
     assert code not in range(1, 6)
+
+
+def test_check_batch_json_streams_in_bounded_memory(tmp_path):
+    # 20,000 standard 5-sets at d = 6: holding every payload and the whole
+    # JSON text before writing peaks near 150 MB, writing each set as it is
+    # decided near 28 MB.  Peak RSS is read in the child, after the batch.
+    nonzero = [(m, n) for m in range(6) for n in range(6)][1:]
+    rows = islice(combinations(nonzero, 4), 20000)
+    batch = tmp_path / "sets.txt"
+    batch.write_text(
+        "".join(format_gbs_set(((0, 0),) + rest) + "\n" for rest in rows),
+        encoding="utf-8",
+    )
+    probe = (
+        "import os, resource, sys\n"
+        "import gbslocc.cli\n"
+        "with open(os.devnull, 'w') as sys.stdout:\n"
+        "    code = gbslocc.cli.main(['check', '-d', '6', '--file', sys.argv[1], '--json'])\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(code, peak // 1024 if sys.platform == 'darwin' else peak, file=sys.stderr)\n"
+    )
+    err = subprocess.run(
+        [sys.executable, "-c", probe, str(batch)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stderr
+    code, peak_kb = map(int, err.split())
+    assert code == 0
+    assert peak_kb < 60 * 1024
 
 
 def test_exact_subcommands_do_not_import_numpy():

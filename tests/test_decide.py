@@ -27,7 +27,11 @@ from gbslocc.decide import (
 )
 from gbslocc.equivalence import anchored_translate
 from gbslocc.gpm import INF, GbsSet, all_gpms
-from oracles import brute_discriminant_set, brute_discriminant_witness
+from oracles import (
+    brute_congruence_solutions,
+    brute_discriminant_set,
+    brute_discriminant_witness,
+)
 
 L1 = GbsSet(6, ((0, 0), (0, 1), (1, 0), (1, 4), (5, 5)))
 L2 = GbsSet(4, ((1, 2), (1, 0), (3, 2), (3, 0)))
@@ -266,6 +270,24 @@ def test_discriminant_scan_matches_brute_force_oracle():
         if report.condition == DISCRIMINANT:
             assert report.witness == oracle, S
         assert discriminant_set(S) == brute_discriminant_set(S.elements, d), S
+
+
+def test_slope_gap_matches_brute_force_oracle():
+    # Pair i < j excludes every y with (m_i - m_j) * y = n_j - n_i (mod d),
+    # and INF when m_i = m_j; the gap is what no pair excludes.
+    for S in _oracle_sets():
+        if len(S) < 2:
+            continue
+        d = S.d
+        excluded = set()
+        for (mi, ni), (mj, nj) in combinations(S.elements, 2):
+            if (mi - mj) % d == 0:
+                excluded.add(INF)
+            excluded |= brute_congruence_solutions(mi - mj, nj - ni, d)
+        gap = slope_gap(S)
+        assert gap.admissible == frozenset(range(d)) | {INF}
+        assert gap.excluded == excluded, S
+        assert gap.gap == gap.admissible - excluded, S
 
 
 @pytest.mark.parametrize("d, literal, verdict, witness", [

@@ -4,59 +4,38 @@ from itertools import product
 import pytest
 
 from gbslocc.modring import (
-    gcd_ext,
     is_prime,
-    mod_inverse,
+    set_bits,
     smallest_prime_factor,
-    solve_linear_congruence,
     solve_weyl_congruence,
+    weyl_rows,
 )
-from oracles import brute_congruence_solutions, brute_inverse, brute_weyl_solutions
+from oracles import brute_congruence_solutions, brute_weyl_solutions
 
 
-def test_gcd_ext_bezout_identity():
-    for a in range(-30, 31):
-        for b in range(-30, 31):
-            g, u, v = gcd_ext(a, b)
-            assert g == math.gcd(a, b)
-            assert u * a + v * b == g
+def test_weyl_rows_match_brute_force():
+    # Row x of (m, n) holds exactly the y with n*x = m*y (mod d): a comb of
+    # gcd(m, d) teeth at stride d / gcd(m, d), shifted by the row's offset.
+    for d in range(2, 17):
+        for m, n in product(range(d), repeat=2):
+            comb, offsets = weyl_rows(m, n, d)
+            g = math.gcd(m, d)
+            assert comb == sum(1 << t * (d // g) for t in range(g)), (m, n, d)
+            assert len(offsets) == d
+            for x, offset in enumerate(offsets):
+                want = brute_congruence_solutions(m, n * x, d)
+                if offset is None:
+                    assert not want, (m, n, d, x)
+                else:
+                    assert 0 <= offset < d // g
+                    assert set_bits(comb << offset) == sorted(want), (m, n, d, x)
 
 
-def test_mod_inverse_matches_brute_force():
-    for d in range(2, 14):
-        for a in range(-d, 2 * d):
-            assert mod_inverse(a, d) == brute_inverse(a % d, d)
-
-
-def test_mod_inverse_known_values():
-    assert mod_inverse(3, 4) == 3
-    assert mod_inverse(2, 4) is None
-    assert mod_inverse(4, 5) == 4
-
-
-def test_solve_linear_congruence_matches_brute_force():
-    for d in range(2, 13):
-        for a, b in product(range(d), repeat=2):
-            assert solve_linear_congruence(a, b, d) == brute_congruence_solutions(
-                a, b, d
-            ), (a, b, d)
-
-
-def test_solve_linear_congruence_normalizes_arguments():
-    assert solve_linear_congruence(-1, 7, 4) == solve_linear_congruence(3, 3, 4)
-
-
-def test_solve_linear_congruence_degenerate_coefficient():
-    # 0*y = b has every solution or none.
-    assert solve_linear_congruence(0, 0, 5) == frozenset(range(5))
-    assert solve_linear_congruence(0, 3, 5) == frozenset()
-
-
-def test_solve_linear_congruence_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        solve_linear_congruence(1, 0, 1)
-    with pytest.raises(ValueError):
-        solve_linear_congruence(1, 0, 0)
+def test_set_bits():
+    assert set_bits(0) == []
+    assert set_bits(1) == [0]
+    assert set_bits(0b101001) == [0, 3, 5]
+    assert set_bits(1 << 1000 | 1 << 3) == [3, 1000]
 
 
 def test_weyl_congruence_matches_brute_force():
@@ -81,6 +60,17 @@ def test_weyl_congruence_count_law():
 def test_weyl_congruence_identity_generator():
     # Everything commutes with the identity.
     assert len(solve_weyl_congruence(0, 0, 6)) == 36
+
+
+def test_weyl_congruence_normalizes_arguments():
+    assert solve_weyl_congruence(-1, 7, 4) == solve_weyl_congruence(3, 3, 4)
+
+
+def test_weyl_congruence_rejects_bad_modulus():
+    with pytest.raises(ValueError):
+        solve_weyl_congruence(1, 0, 1)
+    with pytest.raises(ValueError):
+        solve_weyl_congruence(1, 0, 0)
 
 
 def test_weyl_congruence_spot_values():
