@@ -1,16 +1,16 @@
 """Symbolic one-way LOCC distinguishability decisions for GBS sets.
 
 The engine works entirely on the difference set Delta(S) = {a - b} of the
-input.  A discriminant symbol T commuting with nothing in Delta(S) turns the
-eigenbasis of its matrix into a perfect one-way protocol.  The reported
-witness is the lexicographically least such T, found by scanning rows
-x = 0, 1, ... of Z_d x Z_d and stopping at the first free y: in row x the
-symbols commuting with a difference (m, n) form a comb of gcd(m, d) teeth
-at stride d / gcd(m, d), or nothing, so each row is one bitmask of d bits.
-Those rows come from modring.weyl_rows, the one solver of the commutation
-congruence, and the slope gap is row d - 1 of the same scan.
-The discriminant set itself can have about d^2 members; decide never
-builds it, and its memory stays linear in d.  A fully
+input, read as one difference per unordered pair: a difference and its
+negative commute with the same symbols, so the list decide builds once
+serves every rule.  A discriminant symbol T commuting with nothing in
+Delta(S) turns the eigenbasis of its matrix into a perfect one-way
+protocol.  The reported witness is the lexicographically least such T,
+found by scanning rows x = 0, 1, ... of Z_d x Z_d and stopping at the first
+free y: each row is one bitmask of d bits, the OR of the rows that
+modring.weyl_rows gives for the differences, and the slope gap is row d - 1
+of the same scan.  The discriminant set itself can have about d^2 members;
+decide never builds it, and its memory stays linear in d.  A fully
 commutative Delta(S) admits a common eigenvector witness; and for composite
 d a difference set whose members each carry an invertible coordinate admits
 a shared eigenstate of a factor pair of shift/clock powers.  Those three
@@ -21,17 +21,11 @@ than an unknown.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import gcd
 
-from .gpm import (
-    INF,
-    GbsSet,
-    Gpm,
-    difference_set,
-    index_set,
-    is_commutative,
-)
+from .gpm import INF, GbsSet, Gpm, is_commutative, slope
 from .modring import is_prime, set_bits, smallest_prime_factor, weyl_rows
 
 __all__ = [
@@ -102,24 +96,44 @@ class DecisionReport:
     index_cardinality: int | None = None
 
 
-def _free_symbols(S: GbsSet):
-    """Yield the symbols commuting with no difference, in lexicographic order."""
+def _differences(S: GbsSet, what: str) -> list[Gpm]:
+    """One difference per unordered pair of S.
+
+    A difference and its negative commute with the same symbols, so every
+    rule below reads this list in place of the negation-closed Delta(S).
+    """
     if len(S) < 2:
-        raise ValueError("discriminant set needs at least two elements")
+        raise ValueError(f"{what} needs at least two elements")
     d = S.d
+    return [
+        ((mi - mj) % d, (ni - nj) % d)
+        for (mi, ni), (mj, nj) in combinations(S.elements, 2)
+    ]
+
+
+def _row_cover(rows, x: int) -> int:
+    """The symbols of row x commuting with some difference, as a d-bit mask."""
+    covered = 0
+    for comb, r, step, q in rows:
+        if x % r == 0:
+            covered |= comb << (x // r * step % q)
+    return covered
+
+
+def _free_symbols(diffs: list[Gpm], d: int):
+    """Yield the symbols commuting with no difference, in lexicographic order."""
     full = (1 << d) - 1
-    combs = [weyl_rows(m, n, d) for m, n in difference_set(S)]
+    rows = [weyl_rows(m, n, d) for m, n in diffs]
     for x in range(d):
-        covered = 0
-        for comb, offsets in combs:
-            offset = offsets[x]
-            if offset is not None:
-                covered |= comb << offset
-        free = full ^ covered
+        free = full ^ _row_cover(rows, x)
         while free:
             low = free & -free
             yield x, low.bit_length() - 1
             free ^= low
+
+
+def _invertible(diffs: list[Gpm], d: int) -> bool:
+    return all(gcd(m, d) == 1 or gcd(n, d) == 1 for m, n in diffs)
 
 
 def discriminant_set(S: GbsSet) -> frozenset[Gpm]:
@@ -131,26 +145,20 @@ def discriminant_set(S: GbsSet) -> frozenset[Gpm]:
     at the first member, its witness; the whole set can hold about d^2
     symbols, and decide never builds it.
     """
-    return frozenset(_free_symbols(S))
+    return frozenset(_free_symbols(_differences(S, "discriminant set"), S.d))
 
 
 def condition_commutative(S: GbsSet) -> bool:
     """Whether the difference set is pairwise commutative."""
-    if len(S) < 2:
-        raise ValueError("condition needs at least two elements")
-    return is_commutative(difference_set(S), S.d)
+    return is_commutative(_differences(S, "condition"), S.d)
 
 
 def condition_invertible(S: GbsSet) -> bool:
     """Whether every difference has an invertible coordinate (composite d only)."""
-    if len(S) < 2:
-        raise ValueError("condition needs at least two elements")
-    d = S.d
-    if is_prime(d):
-        raise ValueError(f"condition is only defined for composite moduli, got {d}")
-    return all(
-        gcd(m, d) == 1 or gcd(n, d) == 1 for m, n in difference_set(S)
-    )
+    diffs = _differences(S, "condition")
+    if is_prime(S.d):
+        raise ValueError(f"condition is only defined for composite moduli, got {S.d}")
+    return _invertible(diffs, S.d)
 
 
 def slope_gap(S: GbsSet) -> SlopeGap:
@@ -160,29 +168,12 @@ def slope_gap(S: GbsSet) -> SlopeGap:
     difference, so the finite exclusions are row d - 1 of the witness scan;
     a pair with equal m excludes INF.
     """
-    if len(S) < 2:
-        raise ValueError("slope gap needs at least two elements")
+    diffs = _differences(S, "slope gap")
     d = S.d
-    covered = 0
-    excluded = set()
-    for (mi, ni), (mj, nj) in combinations(S.elements, 2):
-        m = (mi - mj) % d
-        if m == 0:
-            excluded.add(INF)
-            continue
-        comb, offsets = weyl_rows(m, (ni - nj) % d, d)
-        if offsets[-1] is not None:
-            covered |= comb << offsets[-1]
-    excluded.update(set_bits(covered))
+    covered = _row_cover([weyl_rows(m, n, d) for m, n in diffs], d - 1)
+    excluded = frozenset(set_bits(covered)) | {INF for m, _ in diffs if m == 0}
     admissible = frozenset(range(d)) | {INF}
-    excluded = frozenset(excluded)
     return SlopeGap(d, admissible, excluded, admissible - excluded)
-
-
-def _maybe_index_cardinality(S: GbsSet) -> int | None:
-    if len(S) >= 2 and is_prime(S.d):
-        return len(index_set(S))
-    return None
 
 
 def decide(S: GbsSet) -> DecisionReport:
@@ -193,31 +184,28 @@ def decide(S: GbsSet) -> DecisionReport:
     INCONCLUSIVE: the conditions are only sufficient in general.
     """
     d, size = S.d, len(S)
-    idx = _maybe_index_cardinality(S)
+    prime = is_prime(d)
+    diffs = _differences(S, "decide") if size >= 2 else []
+    idx = len({slope(g, d) for g in diffs}) if diffs and prime else None
+    report = partial(DecisionReport, index_cardinality=idx)
 
     if size <= 3 and (size <= 2 or d >= 3):
-        return DecisionReport(DISTINGUISHABLE, FULL_LOCC, SMALL_SET, index_cardinality=idx)
+        return report(DISTINGUISHABLE, FULL_LOCC, SMALL_SET)
     if size >= d + 1:
-        return DecisionReport(INDISTINGUISHABLE, FULL_LOCC, TOO_MANY, index_cardinality=idx)
+        return report(INDISTINGUISHABLE, FULL_LOCC, TOO_MANY)
 
-    witness = next(_free_symbols(S), None)
+    witness = next(_free_symbols(diffs, d), None)
     if witness is not None:
-        return DecisionReport(
-            DISTINGUISHABLE, ONE_WAY, DISCRIMINANT,
-            witness=witness, index_cardinality=idx,
-        )
-    if condition_commutative(S):
-        return DecisionReport(DISTINGUISHABLE, ONE_WAY, COMMUTATIVE, index_cardinality=idx)
-    if not is_prime(d) and condition_invertible(S):
+        return report(DISTINGUISHABLE, ONE_WAY, DISCRIMINANT, witness=witness)
+    if is_commutative(diffs, d):
+        return report(DISTINGUISHABLE, ONE_WAY, COMMUTATIVE)
+    if not prime and _invertible(diffs, d):
         s = smallest_prime_factor(d)
-        return DecisionReport(
-            DISTINGUISHABLE, ONE_WAY, INVERTIBLE,
-            witness=(s, d // s), index_cardinality=idx,
-        )
+        return report(DISTINGUISHABLE, ONE_WAY, INVERTIBLE, witness=(s, d // s))
 
     if d == 4 and size == 4:
-        return DecisionReport(INDISTINGUISHABLE, FULL_LOCC, COMPLETE_D4)
+        return report(INDISTINGUISHABLE, FULL_LOCC, COMPLETE_D4)
     if d == 5 and size in (4, 5):
         mode = ONE_WAY if size == 4 else FULL_LOCC
-        return DecisionReport(INDISTINGUISHABLE, mode, COMPLETE_D5, index_cardinality=idx)
-    return DecisionReport(INCONCLUSIVE, FULL_LOCC, index_cardinality=idx)
+        return report(INDISTINGUISHABLE, mode, COMPLETE_D5)
+    return report(INCONCLUSIVE, FULL_LOCC)

@@ -2,12 +2,12 @@
 
 Two Weyl operators (m, n) and (x, y) commute exactly when
 n*x = m*y (mod d), and `weyl_rows` is the one solver of that congruence.
-It answers row by row: for each x, the y that solve it, as a d-bit comb.
-The witness scan of `decide` ORs these rows, the slope gap is row d - 1 of
-them (a pair excludes y exactly when (d - 1, y) commutes with its
-difference), and `solve_weyl_congruence` expands them into pairs.  All
-intermediates are Python ints, so moduli well past 64 are safe from
-overflow.
+It describes the solutions row by row with four ints: for each x, the y
+that solve it form a shifted d-bit comb.  The witness scan of `decide` ORs
+these rows, the slope gap is row d - 1 of them (a pair excludes y exactly
+when (d - 1, y) commutes with its difference), and `solve_weyl_congruence`
+expands them into pairs.  All intermediates are Python ints, so moduli
+well past 64 are safe from overflow.
 """
 
 from functools import lru_cache
@@ -23,28 +23,27 @@ __all__ = [
 
 
 @lru_cache(maxsize=256)
-def weyl_rows(m: int, n: int, d: int) -> tuple[int, tuple]:
-    """The symbols (x, y) commuting with (m, n), row by row; m, n in [0, d).
+def weyl_rows(m: int, n: int, d: int) -> tuple[int, int, int, int]:
+    """The symbols (x, y) commuting with (m, n) as (comb, r, step, q); m, n in [0, d).
 
     They solve m*y = n*x (mod d).  With g = gcd(m, d) and q = d / g, row x
-    has solutions only when g divides n*x, and then they are
-    y = (n*x / g) * (m / g)^-1 (mod q): g teeth at stride q, shifted by an
-    offset below q.  Returns the unshifted comb as a bitmask over y and the
-    offset of each row, None for a row without solutions.  m = 0 needs no
-    special case: g = d and q = 1, so a row is either all covered or free.
+    has solutions exactly when g divides n*x, that is when r divides x for
+    r = g / gcd(g, n), and then they are
+
+        y in set_bits(comb << (x // r * step % q)),
+
+    where comb holds g teeth at stride q and
+    step = (n / gcd(g, n)) * (m / g)^-1 (mod q).  m = 0 needs no special
+    case: g = d and q = 1, so a row is either all covered or free.
     """
     g = gcd(m, d)
     q = d // g
-    c = pow(m // g, -1, q)
+    h = gcd(g, n)
     # Written out in binary, which is linear in d: a sum of g shifts is
     # quadratic when g is large, and the repunit quotient
     # (2^d - 1) // (2^q - 1) when g is small.
     comb = int(("0" * (q - 1) + "1") * g, 2)
-    offsets = tuple(
-        None if b % g else b // g * c % q
-        for b in (n * x % d for x in range(d))
-    )
-    return comb, offsets
+    return comb, g // h, n // h * pow(m // g, -1, q) % q, q
 
 
 def set_bits(mask: int) -> list[int]:
@@ -62,12 +61,10 @@ def solve_weyl_congruence(m: int, n: int, d: int) -> frozenset[tuple[int, int]]:
     """
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")
-    comb, offsets = weyl_rows(m % d, n % d, d)
+    comb, r, step, q = weyl_rows(m % d, n % d, d)
     teeth = set_bits(comb)
     return frozenset(
-        (x, y + offset)
-        for x, offset in enumerate(offsets) if offset is not None
-        for y in teeth
+        (x, y + k * step % q) for k, x in enumerate(range(0, d, r)) for y in teeth
     )
 
 

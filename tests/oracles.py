@@ -48,6 +48,42 @@ def brute_discriminant_set(elements, d):
     )
 
 
+def _has_inverse(a, d):
+    return any(a * u % d == 1 for u in range(d))
+
+
+def brute_report(elements, d):
+    """(verdict, mode, condition, witness, index cardinality) by the README
+    ladder, on the full negation-closed difference set."""
+    k = len(elements)
+    diffs = brute_differences(elements, d)
+    prime = prime_factors(d) == {d}
+    index = None
+    if prime and k >= 2:
+        index = len({
+            "inf" if m == 0 else next(y for y in range(d) if (m * y - n) % d == 0)
+            for m, n in diffs
+        })
+    if k <= 3 and (k <= 2 or d >= 3):
+        return "DISTINGUISHABLE", "FULL_LOCC", "SMALL_SET", None, index
+    if k > d:
+        return "INDISTINGUISHABLE", "FULL_LOCC", "TOO_MANY", None, index
+    witness = brute_discriminant_witness(elements, d)
+    if witness is not None:
+        return "DISTINGUISHABLE", "ONE_WAY", "DISCRIMINANT", witness, index
+    if all((b * c - a * e) % d == 0 for a, b in diffs for c, e in diffs):
+        return "DISTINGUISHABLE", "ONE_WAY", "COMMUTATIVE", None, index
+    if not prime and all(_has_inverse(m, d) or _has_inverse(n, d) for m, n in diffs):
+        s = min(prime_factors(d))
+        return "DISTINGUISHABLE", "ONE_WAY", "INVERTIBLE", (s, d // s), index
+    if (d, k) == (4, 4):
+        return "INDISTINGUISHABLE", "FULL_LOCC", "COMPLETE_D4", None, index
+    if d == 5 and k in (4, 5):
+        mode = "ONE_WAY" if k == 4 else "FULL_LOCC"
+        return "INDISTINGUISHABLE", mode, "COMPLETE_D5", None, index
+    return "INCONCLUSIVE", "FULL_LOCC", None, None, index
+
+
 def shift_matrix(d):
     out = np.zeros((d, d), dtype=complex)
     for j in range(d):

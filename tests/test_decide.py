@@ -31,6 +31,7 @@ from oracles import (
     brute_congruence_solutions,
     brute_discriminant_set,
     brute_discriminant_witness,
+    brute_report,
 )
 
 L1 = GbsSet(6, ((0, 0), (0, 1), (1, 0), (1, 4), (5, 5)))
@@ -290,9 +291,25 @@ def test_slope_gap_matches_brute_force_oracle():
         assert gap.gap == gap.admissible - excluded, S
 
 
+def test_decide_matches_brute_force_ladder():
+    # The whole report, every rule and the index cardinality included,
+    # against the README ladder run on the full difference set.
+    fired = set()
+    for S in _oracle_sets():
+        r = decide(S)
+        got = (r.verdict, r.mode, r.condition, r.witness, r.index_cardinality)
+        assert got == brute_report(S.elements, S.d), S
+        fired.add(r.condition)
+    assert fired == {
+        SMALL_SET, TOO_MANY, DISCRIMINANT, COMMUTATIVE, INVERTIBLE,
+        COMPLETE_D4, COMPLETE_D5, None,
+    }
+
+
 @pytest.mark.parametrize("d, literal, verdict, witness", [
     (1002, "0,0;0,501;501,0;501,501", INCONCLUSIVE, None),
     (1009, "0,0;1,5;7,300;400,2;900,901", DISTINGUISHABLE, (0, 1)),
+    (1000003, "0,0;0,1;1,0;1,1;2,3", DISTINGUISHABLE, (1, 4)),
 ])
 def test_decide_memory_stays_linear_at_large_d(d, literal, verdict, witness):
     # A table of all d^2 symbols would take about 150 MB at d = 1009.

@@ -14,21 +14,26 @@ from oracles import brute_congruence_solutions, brute_weyl_solutions
 
 
 def test_weyl_rows_match_brute_force():
-    # Row x of (m, n) holds exactly the y with n*x = m*y (mod d): a comb of
-    # gcd(m, d) teeth at stride d / gcd(m, d), shifted by the row's offset.
+    # Row x of (m, n) holds exactly the y with n*x = m*y (mod d): none unless
+    # r divides x, else a comb of gcd(m, d) teeth at stride d / gcd(m, d),
+    # shifted by x // r * step mod q.  Nothing in the result grows with d
+    # but the comb's bits.
     for d in range(2, 17):
         for m, n in product(range(d), repeat=2):
-            comb, offsets = weyl_rows(m, n, d)
+            rows = weyl_rows(m, n, d)
+            assert all(type(v) is int for v in rows), (m, n, d)
+            comb, r, step, q = rows
             g = math.gcd(m, d)
-            assert comb == sum(1 << t * (d // g) for t in range(g)), (m, n, d)
-            assert len(offsets) == d
-            for x, offset in enumerate(offsets):
+            assert q == d // g
+            assert comb == sum(1 << t * q for t in range(g)), (m, n, d)
+            assert 0 <= step < q and d % r == 0
+            for x in range(d):
                 want = brute_congruence_solutions(m, n * x, d)
-                if offset is None:
+                if x % r:
                     assert not want, (m, n, d, x)
                 else:
-                    assert 0 <= offset < d // g
-                    assert set_bits(comb << offset) == sorted(want), (m, n, d, x)
+                    shift = x // r * step % q
+                    assert set_bits(comb << shift) == sorted(want), (m, n, d, x)
 
 
 def test_set_bits():
