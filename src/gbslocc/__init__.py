@@ -28,7 +28,7 @@ from .decide import (
     discriminant_set,
     slope_gap,
 )
-from .equivalence import Classification, OrbitReport, classify, membership, orbit
+from .equivalence import Classification, OrbitReport, classify, orbit
 from .gpm import (
     INF,
     GbsSet,
@@ -60,7 +60,6 @@ __all__ = [
     "slope_gap",
     "orbit",
     "classify",
-    "membership",
     "representatives",
     "all_gpms",
     "commutes",

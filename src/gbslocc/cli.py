@@ -16,6 +16,7 @@ import argparse
 import json
 import signal
 import sys
+from math import comb
 
 from . import catalog
 from .decide import DISTINGUISHABLE, INDISTINGUISHABLE, SMALL_SET, decide, slope_gap
@@ -29,6 +30,16 @@ EXIT_BAD_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_GOLDEN_MISMATCH = 4
 EXIT_NOTHING_TO_CERTIFY = 5
+
+# Largest moduli served, checked before anything is parsed.  The witness
+# scan of `check` (and of `verify`, which decides first) builds d-bit masks,
+# linear in d: about 2.4 s and 540 MB near d = 2**22 on a 2-core machine.
+# `orbit` and `classify` apply all ~d^3 symplectic matrices: about 1 s for
+# a 2-set at d = 64.
+MAX_CHECK_D = 2 ** 22
+MAX_ORBIT_D = 64
+# `classify` audits all C(d^2 - 1, k - 1) standard sets.
+MAX_CLASSIFY_SETS = 10 ** 6
 
 _CHECK_NAMES = {
     DISCRIMINANT: "one_way_gram",
@@ -100,16 +111,13 @@ def _check_lines(payload: dict) -> list[str]:
     return lines
 
 
-def _batch_summary(payload: dict) -> str:
-    parts = [
-        format_gbs_set(payload["set"]),
-        payload["verdict"],
-        payload["mode"],
-    ]
-    if payload["condition"]:
-        parts.append(payload["condition"])
-    if payload["witness"]:
-        m, n = payload["witness"]
+def _batch_summary(S: GbsSet) -> str:
+    report = decide(S)
+    parts = [format_gbs_set(S.elements), report.verdict, report.mode]
+    if report.condition:
+        parts.append(report.condition)
+    if report.witness:
+        m, n = report.witness
         parts.append(f"({m},{n})")
     return "  ".join(parts)
 
@@ -137,7 +145,7 @@ def _cmd_check(args) -> int:
     # payloads are never all held at once.
     if not args.json:
         for S in sets:
-            print(_batch_summary(_check_payload(S)))
+            print(_batch_summary(S))
         return EXIT_OK
     if not sets:
         sys.stdout.write(render_json([]))
@@ -162,6 +170,10 @@ def _classify_inputs(args):
 
 
 def _cmd_classify(args) -> int:
+    if args.k >= 1 and comb(args.d ** 2 - 1, args.k - 1) > MAX_CLASSIFY_SETS:
+        return _fail(EXIT_UNSUPPORTED,
+                     f"classify audits at most {MAX_CLASSIFY_SETS} standard sets, "
+                     f"and (d, k) = ({args.d}, {args.k}) has more")
     try:
         sets, labels = _classify_inputs(args)
     except (OSError, SetFormatError) as exc:
@@ -407,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--file", metavar="PATH",
                    help="batch mode: one set literal per line")
-    p.set_defaults(func=_cmd_check, needs_set="unless_file")
+    p.set_defaults(func=_cmd_check, needs_set="unless_file", max_d=MAX_CHECK_D)
 
     p = sub.add_parser("classify", help="expand a representative family")
     p.add_argument("-d", type=int, required=True, metavar="DIM")
@@ -420,15 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-indist", action="store_true",
                    help="print the members of the indistinguishable classes")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.set_defaults(func=_cmd_classify, needs_set=False)
+    p.set_defaults(func=_cmd_classify, needs_set=False, max_d=MAX_ORBIT_D)
 
     p = sub.add_parser("orbit", help="list one equivalence class")
     add_common(p)
-    p.set_defaults(func=_cmd_orbit, needs_set=True)
+    p.set_defaults(func=_cmd_orbit, needs_set=True, max_d=MAX_ORBIT_D)
 
     p = sub.add_parser("verify", help="numerically certify a verdict")
     add_common(p)
-    p.set_defaults(func=_cmd_verify, needs_set=True)
+    p.set_defaults(func=_cmd_verify, needs_set=True, max_d=MAX_CHECK_D)
 
     p = sub.add_parser("tables", help="print the shipped reference data")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -447,6 +459,9 @@ def main(argv=None) -> int:
         return _fail(EXIT_BAD_INPUT, f"{args.command} requires -s/--set")
     if getattr(args, "d", 2) < 2:
         return _fail(EXIT_BAD_INPUT, f"dimension must be >= 2, got {args.d}")
+    max_d = getattr(args, "max_d", None)
+    if max_d is not None and args.d > max_d:
+        return _fail(EXIT_UNSUPPORTED, f"{args.command} supports d <= {max_d}, got {args.d}")
     return args.func(args)
 
 

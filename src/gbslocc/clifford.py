@@ -1,85 +1,23 @@
-"""Determinant-one 2x2 matrices over Z_d and their action on symbols.
+"""Determinant-one 2x2 matrices over Z_d, the exponent action of the Clifford group.
 
 Conjugating X^m Z^n by a Clifford unitary permutes the symbols linearly (up
 to phase), so at the exponent level the Clifford group acts through these
 matrices.  The action preserves the Weyl exponent of every pair, which is
 why orbits under it preserve all distinguishability verdicts.
+
+A matrix [[a1, b1], [a2, b2]] is the plain tuple (a1, b1, a2, b2); it maps
+the symbol (m, n) to ((a1*m + b1*n) % d, (a2*m + b2*n) % d).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .gpm import Gpm
-
-__all__ = [
-    "SympMat",
-    "fourier_gate",
-    "phase_gate",
-    "enumerate_symplectic",
-    "generated_group",
-]
-
-
-@dataclass(frozen=True)
-class SympMat:
-    """Matrix [[a1, b1], [a2, b2]] over Z_d with determinant 1 mod d."""
-
-    a1: int
-    b1: int
-    a2: int
-    b2: int
-    d: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.d}")
-        for entry in (self.a1, self.b1, self.a2, self.b2):
-            if not 0 <= entry < self.d:
-                raise ValueError(f"entry {entry} out of range [0, {self.d})")
-        det = (self.a1 * self.b2 - self.a2 * self.b1) % self.d
-        if det != 1:
-            raise ValueError(f"determinant {det} != 1 (mod {self.d})")
-
-    def apply(self, g: Gpm) -> Gpm:
-        """Image of the symbol (m, n) as a column vector."""
-        m, n = g
-        return ((self.a1 * m + self.b1 * n) % self.d, (self.a2 * m + self.b2 * n) % self.d)
-
-    def compose(self, other: "SympMat") -> "SympMat":
-        """Matrix product self @ other (apply other first)."""
-        if self.d != other.d:
-            raise ValueError(f"modulus mismatch: {self.d} != {other.d}")
-        d = self.d
-        return SympMat(
-            (self.a1 * other.a1 + self.b1 * other.a2) % d,
-            (self.a1 * other.b1 + self.b1 * other.b2) % d,
-            (self.a2 * other.a1 + self.b2 * other.a2) % d,
-            (self.a2 * other.b1 + self.b2 * other.b2) % d,
-            d,
-        )
-
-    def inverse(self) -> "SympMat":
-        d = self.d
-        return SympMat(self.b2 % d, -self.b1 % d, -self.a2 % d, self.a1 % d, d)
-
-
-def identity(d: int) -> SympMat:
-    return SympMat(1, 0, 0, 1, d)
-
-
-def fourier_gate(d: int) -> SympMat:
-    """Exponent action of the discrete Fourier transform: (m, n) -> (-n, m)."""
-    return SympMat(0, d - 1, 1, 0, d)
-
-
-def phase_gate(d: int) -> SympMat:
-    """Exponent action of the quadratic phase gate: (m, n) -> (m, m + n)."""
-    return SympMat(1, 0, 1, 1, d)
+__all__ = ["enumerate_symplectic"]
 
 
 @lru_cache(maxsize=64)
-def enumerate_symplectic(d: int) -> tuple[SympMat, ...]:
-    """All determinant-one matrices over Z_d, ordered by (a1, b1, a2, b2)."""
+def enumerate_symplectic(d: int) -> tuple[tuple[int, int, int, int], ...]:
+    """All (a1, b1, a2, b2) over Z_d with a1*b2 - a2*b1 = 1 (mod d), in
+    lexicographic order."""
     out = []
     for a1 in range(d):
         for b1 in range(d):
@@ -87,22 +25,5 @@ def enumerate_symplectic(d: int) -> tuple[SympMat, ...]:
                 want = 1 + a2 * b1  # need a1 * b2 = want (mod d)
                 for b2 in range(d):
                     if a1 * b2 % d == want % d:
-                        out.append(SympMat(a1, b1, a2, b2, d))
+                        out.append((a1, b1, a2, b2))
     return tuple(out)
-
-
-def generated_group(d: int) -> frozenset[SympMat]:
-    """Closure of {fourier_gate, phase_gate} under composition."""
-    gens = (fourier_gate(d), phase_gate(d))
-    seen = {identity(d)}
-    frontier = [identity(d)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = w.compose(g)
-                if wg not in seen:
-                    seen.add(wg)
-                    nxt.append(wg)
-        frontier = nxt
-    return frozenset(seen)

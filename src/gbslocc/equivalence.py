@@ -26,7 +26,6 @@ __all__ = [
     "anchored_translate",
     "orbit",
     "classify",
-    "membership",
 ]
 
 CanonicalSet = tuple[Gpm, ...]
@@ -65,8 +64,10 @@ def orbit(N: GbsSet) -> OrbitReport:
     members = set()
     for i in range(len(N)):
         base = anchored_translate(N, i)
-        for w in mats:
-            members.add(tuple(sorted(w.apply(g) for g in base)))
+        for a1, b1, a2, b2 in mats:
+            members.add(tuple(sorted(
+                ((a1 * m + b1 * n) % d, (a2 * m + b2 * n) % d) for m, n in base
+            )))
     anchor = N.elements.index((0, 0)) if (0, 0) in N.elements else 0
     rep = anchored_translate(N, anchor)
     return OrbitReport(rep, frozenset(members), len(members), _generation_certified(N))
@@ -115,16 +116,3 @@ def classify(d: int, k: int, representatives) -> Classification:
         d, k, tuple(reports), total, total - len(uncovered), tuple(uncovered)
     )
 
-
-def membership(S: GbsSet, representative: GbsSet) -> bool:
-    """Whether any anchored translate of S lands in the representative's orbit.
-
-    The orbit member family is closed under the matrix action, so checking
-    the translates alone is enough; anchor choice cannot change the answer.
-    """
-    if S.d != representative.d:
-        raise ValueError(f"modulus mismatch: {S.d} != {representative.d}")
-    if len(S) != len(representative):
-        return False
-    members = orbit(representative).members
-    return any(anchored_translate(S, i) in members for i in range(len(S)))

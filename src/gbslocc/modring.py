@@ -68,6 +68,9 @@ def solve_weyl_congruence(m: int, n: int, d: int) -> frozenset[tuple[int, int]]:
     )
 
 
+# Cached: is_prime and gpm.slope ask about the same modulus once per
+# difference, and trial division costs O(sqrt(d)).
+@lru_cache(maxsize=64)
 def smallest_prime_factor(d: int) -> int:
     if d < 2:
         raise ValueError(f"need an integer >= 2, got {d}")

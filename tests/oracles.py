@@ -121,3 +121,28 @@ def symplectic_order(d):
     for p in prime_factors(d):
         total = total * (p * p - 1) // (p * p)
     return total
+
+
+def generated_group(d):
+    """Closure of the Fourier (0, d-1, 1, 0) and phase (1, 0, 1, 1) matrices
+    under products mod d, as (a1, b1, a2, b2) tuples of [[a1, b1], [a2, b2]]."""
+
+    def times(w, g):
+        a1, b1, a2, b2 = w
+        c1, e1, c2, e2 = g
+        return ((a1 * c1 + b1 * c2) % d, (a1 * e1 + b1 * e2) % d,
+                (a2 * c1 + b2 * c2) % d, (a2 * e1 + b2 * e2) % d)
+
+    gens = ((0, d - 1, 1, 0), (1, 0, 1, 1))
+    seen = {(1, 0, 0, 1)}
+    frontier = [(1, 0, 0, 1)]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                wg = times(w, g)
+                if wg not in seen:
+                    seen.add(wg)
+                    nxt.append(wg)
+        frontier = nxt
+    return frozenset(seen)

@@ -39,7 +39,7 @@ from gbslocc import (
     weyl_exponent,
 )
 from gbslocc.catalog import golden_indistinguishable
-from gbslocc.clifford import enumerate_symplectic, generated_group
+from gbslocc.clifford import enumerate_symplectic
 from gbslocc.modring import solve_weyl_congruence
 from gbslocc.numerics import (
     VERIFY_TOL,
@@ -49,7 +49,7 @@ from gbslocc.numerics import (
     one_way_gram_check,
     weyl_relation_check,
 )
-from oracles import brute_weyl_solutions, symplectic_order
+from oracles import brute_weyl_solutions, generated_group, symplectic_order
 
 L1 = ((0, 0), (0, 1), (1, 0), (1, 4), (5, 5))
 L2 = ((1, 2), (1, 0), (3, 2), (3, 0))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations, islice
 from pathlib import Path
 
@@ -65,6 +66,26 @@ def test_check_rejects_bad_dimension(capsys):
     code, _, err = run_cli(capsys, "check", "-d", "1", "-s", "0,0")
     assert code == 2
     assert "dimension" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "-d", "10000000019", "-s", "0,0;0,1;1,0;1,1;2,3"),
+    # Refused before the file is opened: this path does not exist.
+    ("check", "-d", str(2**22 + 1), "--file", "no-such-file.txt"),
+    ("verify", "-d", "10000000019", "-s", "0,0;0,1;1,0;1,1;2,3"),
+    ("orbit", "-d", "300", "-s", "0,0;1,0"),
+    ("orbit", "-d", "65", "-s", "0,0;1,0", "--json"),
+    ("classify", "-d", "65", "-k", "2"),
+    # C(40^2 - 1, 2) = 1,277,601 standard sets to audit.
+    ("classify", "-d", "40", "-k", "3", "--reps-file", os.devnull),
+])
+def test_oversized_requests_are_refused(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_check_requires_set_or_file(capsys):

@@ -27,6 +27,7 @@ from gbslocc.decide import (
 )
 from gbslocc.equivalence import anchored_translate
 from gbslocc.gpm import INF, GbsSet, all_gpms
+from gbslocc.modring import smallest_prime_factor
 from oracles import (
     brute_congruence_solutions,
     brute_discriminant_set,
@@ -219,7 +220,10 @@ def test_verdicts_are_invariant_under_local_equivalence():
         for i in range(len(S)):
             translated = anchored_translate(S, i)
             for w in mats:
-                mapped = GbsSet(4, tuple(sorted(w.apply(g) for g in translated)))
+                a1, b1, a2, b2 = w
+                mapped = GbsSet(4, tuple(sorted(
+                    ((a1 * m + b1 * n) % 4, (a2 * m + b2 * n) % 4) for m, n in translated
+                )))
                 assert decide(mapped).verdict == base, (S.elements, i, w)
 
 
@@ -322,3 +326,15 @@ def test_decide_memory_stays_linear_at_large_d(d, literal, verdict, witness):
         tracemalloc.stop()
     assert (report.verdict, report.witness) == (verdict, witness)
     assert peak < 4 * 2**20
+
+
+def test_decide_factors_the_modulus_once():
+    # is_prime and the slopes of the index cardinality ask about d once per
+    # difference, 780 times for a 40-set; d is factored only the first time.
+    d = 10007
+    rng = random.Random(9)
+    S = GbsSet(d, tuple(sorted({(rng.randrange(d), rng.randrange(d)) for _ in range(40)})))
+    assert len(S) == 40
+    smallest_prime_factor.cache_clear()
+    decide(S)
+    assert smallest_prime_factor.cache_info().misses == 1

@@ -6,7 +6,6 @@ from gbslocc.catalog import representatives
 from gbslocc.equivalence import (
     anchored_translate,
     classify,
-    membership,
     orbit,
 )
 from gbslocc.gpm import GbsSet, all_gpms
@@ -120,16 +119,6 @@ def test_classify_full_d4_partition():
     assert result.total_standard == 455
     assert result.covered == 455
     assert sum(rep.size for rep in result.orbits) == 455
-
-
-def test_membership():
-    rep = GbsSet(4, ((0, 0), (1, 0), (0, 1), (1, 2)))
-    assert membership(GbsSet(4, ((0, 0), (0, 1), (1, 0), (1, 2))), rep)
-    # any translated, transformed copy stays inside
-    assert membership(GbsSet(4, ((1, 1), (1, 2), (2, 1), (2, 3))), rep)
-    assert not membership(GbsSet(4, ((0, 0), (2, 0), (0, 2), (2, 2))), rep)
-    with pytest.raises(ValueError):
-        membership(GbsSet(5, ((0, 0), (0, 1), (0, 2), (0, 3))), rep)
 
 
 def test_orbit_rejects_singletons():

@@ -162,8 +162,10 @@ def test_index_set_cardinality_is_symplectic_invariant():
     ]
     for S in cases:
         base = len(index_set(S))
-        for w in enumerate_symplectic(5):
-            mapped = GbsSet(5, tuple(w.apply(g) for g in S.elements))
+        for a1, b1, a2, b2 in enumerate_symplectic(5):
+            mapped = GbsSet(5, tuple(
+                ((a1 * m + b1 * n) % 5, (a2 * m + b2 * n) % 5) for m, n in S.elements
+            ))
             assert len(index_set(mapped)) == base
 
 
