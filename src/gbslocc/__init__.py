@@ -5,8 +5,8 @@ A set of generalized Bell states in C^d (x) C^d is identified with its set
 of exponent pairs (m, n).  `decide` classifies such a set as
 distinguishable under one-way LOCC, indistinguishable, or inconclusive;
 `orbit` and `classify` enumerate equivalence classes under local
-unitaries; `numerics` re-checks every symbolic verdict against dense
-matrix arithmetic.
+unitaries; `numerics` re-checks every constructive verdict by applying
+the Weyl operators to vectors.
 """
 
 from .decide import (

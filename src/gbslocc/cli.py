@@ -19,10 +19,13 @@ import sys
 from math import comb
 
 from . import catalog
+from .clifford import symplectic_order
 from .decide import DISTINGUISHABLE, INDISTINGUISHABLE, SMALL_SET, decide, slope_gap
 from .decide import COMMUTATIVE, DISCRIMINANT, INVERTIBLE
 from .equivalence import classify, orbit
 from .gpm import INF, GbsSet, SetFormatError, difference_set, format_gbs_set, load_set_rows
+from .numerics import VERIFY_TOL, commuting_witness, composite_witness
+from .numerics import max_abs_expectation, one_way_gram_check
 
 EXIT_OK = 0
 EXIT_DEVIATION = 1
@@ -40,6 +43,10 @@ MAX_CHECK_D = 2 ** 22
 MAX_ORBIT_D = 64
 # `classify` audits all C(d^2 - 1, k - 1) standard sets.
 MAX_CLASSIFY_SETS = 10 ** 6
+# An orbit of N is built from |N| * |SL(2, Z_d)| candidate sets, and
+# `classify` builds one orbit per representative: about 1 s per 400,000
+# candidates of a 2-set at d = 64.
+MAX_ORBIT_CANDIDATES = 10 ** 6
 
 _CHECK_NAMES = {
     DISCRIMINANT: "one_way_gram",
@@ -51,6 +58,14 @@ _CHECK_NAMES = {
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _refuse_candidates(command: str, d: int, sets) -> int | None:
+    """Exit 3 when the orbits of the sets would enumerate too many candidates."""
+    count = sum(map(len, sets)) * symplectic_order(d)
+    if count > MAX_ORBIT_CANDIDATES:
+        return _fail(EXIT_UNSUPPORTED, f"{command} enumerates at most {MAX_ORBIT_CANDIDATES} "
+                     f"candidate sets, |N| * |SL(2, Z_d)| per set, and this request has {count}")
 
 
 def render_json(payload) -> str:
@@ -69,9 +84,8 @@ def _pair_list(pairs):
     return [[m, n] for m, n in sorted(pairs)]
 
 
-def _check_payload(S: GbsSet) -> dict:
-    report = decide(S)
-    gap = slope_gap(S) if len(S) >= 2 else None
+def _report_payload(S: GbsSet, report) -> dict:
+    """The keys that the reports of `check` and `verify` share."""
     return {
         "d": S.d,
         "set": [[m, n] for m, n in S.elements],
@@ -79,6 +93,14 @@ def _check_payload(S: GbsSet) -> dict:
         "mode": report.mode,
         "condition": report.condition,
         "witness": list(report.witness) if report.witness else None,
+    }
+
+
+def _check_payload(S: GbsSet) -> dict:
+    report = decide(S)
+    gap = slope_gap(S) if len(S) >= 2 else None
+    return {
+        **_report_payload(S, report),
         "index_cardinality": report.index_cardinality,
         "slope_gap": None if gap is None else {
             "admissible": _parameter_list(gap.admissible),
@@ -180,6 +202,8 @@ def _cmd_classify(args) -> int:
         return _fail(EXIT_BAD_INPUT, str(exc))
     except ValueError as exc:
         return _fail(EXIT_UNSUPPORTED, str(exc))
+    if refused := _refuse_candidates("classify", args.d, sets):
+        return refused
 
     try:
         result = classify(args.d, args.k, sets)
@@ -187,16 +211,14 @@ def _cmd_classify(args) -> int:
         return _fail(EXIT_BAD_INPUT, str(exc))
 
     verdicts = [decide(S) for S in sets]
-    classes = []
-    for label, S, rep, report in zip(labels, sets, result.orbits, verdicts):
-        classes.append({
-            "label": label,
-            "representative": [[m, n] for m, n in rep.representative],
-            "size": rep.size,
-            "verdict": report.verdict,
-            "mode": report.mode,
-            "condition": report.condition,
-        })
+    classes = [{
+        "label": label,
+        "representative": [[m, n] for m, n in rep.representative],
+        "size": rep.size,
+        "verdict": report.verdict,
+        "mode": report.mode,
+        "condition": report.condition,
+    } for label, rep, report in zip(labels, result.orbits, verdicts)]
     payload = {
         "d": args.d,
         "k": args.k,
@@ -271,6 +293,8 @@ def _cmd_classify(args) -> int:
 def _cmd_orbit(args) -> int:
     try:
         S = GbsSet.parse(args.set, args.d)
+        if refused := _refuse_candidates("orbit", args.d, [S]):
+            return refused
         report = orbit(S)
     except (SetFormatError, ValueError) as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
@@ -295,23 +319,13 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # numpy is imported here, so the exact subcommands start without it.
-    from .numerics import (
-        VERIFY_TOL,
-        commuting_witness,
-        composite_witness,
-        max_abs_expectation,
-        one_way_gram_check,
-    )
-
     try:
         S = GbsSet.parse(args.set, args.d)
     except SetFormatError as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
     report = decide(S)
 
-    certifiable = report.verdict == DISTINGUISHABLE and report.condition != SMALL_SET
-    if not certifiable:
+    if report.verdict != DISTINGUISHABLE or report.condition == SMALL_SET:
         print(f"nothing to certify: verdict {report.verdict} "
               f"({report.condition or 'no constructive condition'})",
               file=sys.stderr)
@@ -320,23 +334,15 @@ def _cmd_verify(args) -> int:
     try:
         if report.condition == DISCRIMINANT:
             deviation = one_way_gram_check(S, report.witness)
-        elif report.condition == COMMUTATIVE:
-            vec = commuting_witness(S)
-            deviation = max_abs_expectation(vec, difference_set(S), S.d)
         else:
-            vec = composite_witness(S)
-            deviation = max_abs_expectation(vec, difference_set(S), S.d)
+            witness = commuting_witness if report.condition == COMMUTATIVE else composite_witness
+            deviation = max_abs_expectation(witness(S), difference_set(S), S.d)
     except ValueError as exc:
         return _fail(EXIT_UNSUPPORTED, str(exc))
 
-    certified = bool(deviation < VERIFY_TOL)
+    certified = deviation < VERIFY_TOL
     payload = {
-        "d": S.d,
-        "set": [[m, n] for m, n in S.elements],
-        "verdict": report.verdict,
-        "mode": report.mode,
-        "condition": report.condition,
-        "witness": list(report.witness) if report.witness else None,
+        **_report_payload(S, report),
         "check": _CHECK_NAMES[report.condition],
         "deviation": deviation,
         "tolerance": VERIFY_TOL,

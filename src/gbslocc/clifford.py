@@ -11,7 +11,9 @@ the symbol (m, n) to ((a1*m + b1*n) % d, (a2*m + b2*n) % d).
 
 from functools import lru_cache
 
-__all__ = ["enumerate_symplectic"]
+from .modring import is_prime
+
+__all__ = ["enumerate_symplectic", "symplectic_order"]
 
 
 @lru_cache(maxsize=64)
@@ -27,3 +29,12 @@ def enumerate_symplectic(d: int) -> tuple[tuple[int, int, int, int], ...]:
                     if a1 * b2 % d == want % d:
                         out.append((a1, b1, a2, b2))
     return tuple(out)
+
+
+def symplectic_order(d: int) -> int:
+    """|SL(2, Z_d)| = d^3 prod over the primes p | d of (1 - p^-2), in closed form."""
+    order = d ** 3
+    for p in range(2, d + 1):
+        if d % p == 0 and is_prime(p):
+            order = order // (p * p) * (p * p - 1)
+    return order

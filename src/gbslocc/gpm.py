@@ -5,9 +5,10 @@ its overall phase dropped, so the product rule is plain addition mod d.  A
 GBS set is an ordered, duplicate-free collection of symbols over a single
 modulus; it labels the family of maximally entangled states obtained by
 acting with the symbols on one half of the standard maximally entangled
-state.  Everything here is exact integer work; dense matrices live in the
-numerics module.  The set-literal wire format 'm,n;m,n' and the
-one-literal-per-line file format are parsed and written here only.
+state.  Everything here is exact integer work; the operators' action on
+vectors lives in the numerics module.  The set-literal wire format
+'m,n;m,n' and the one-literal-per-line file format are parsed and written
+here only.
 
 Two symbols commute exactly when n*x - m*y = 0 (mod d), and for prime d the
 nonzero symbols organize into d + 1 lines through the origin indexed by the
@@ -16,7 +17,8 @@ projective slope m^{-1} n (INF on the clock axis m = 0).
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
+from operator import index
 from pathlib import Path
 
 from .modring import is_prime
@@ -74,9 +76,16 @@ class GbsSet:
     elements: tuple[Gpm, ...]
 
     def __post_init__(self):
-        if self.d < 2:
-            raise SetFormatError(f"modulus must be >= 2, got {self.d}")
-        elems = tuple((int(m), int(n)) for m, n in self.elements)
+        # operator.index takes every integer type and refuses the floats
+        # and strings that int() would truncate or parse.
+        try:
+            d = index(self.d)
+            elems = tuple((index(m), index(n)) for m, n in self.elements)
+        except TypeError:
+            raise SetFormatError(f"modulus and coordinates must be integers in {self}") from None
+        if d < 2:
+            raise SetFormatError(f"modulus must be >= 2, got {d}")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "elements", elems)
         if not elems:
             raise SetFormatError("a GBS set needs at least one element")
@@ -93,10 +102,6 @@ class GbsSet:
     @classmethod
     def parse(cls, text: str, d: int) -> "GbsSet":
         return parse_gbs_set(text, d)
-
-    def literal(self) -> str:
-        """Wire form, as written by format_gbs_set."""
-        return format_gbs_set(self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -165,14 +170,9 @@ def difference_set(S: GbsSet) -> frozenset[Gpm]:
 
     Closed under negation and invariant under reordering or translating S.
     """
-    elems = S.elements
     d = S.d
-    out = set()
-    for i, (mi, ni) in enumerate(elems):
-        for j, (mj, nj) in enumerate(elems):
-            if i != j:
-                out.add(((mi - mj) % d, (ni - nj) % d))
-    return frozenset(out)
+    return frozenset(((mi - mj) % d, (ni - nj) % d)
+                     for (mi, ni), (mj, nj) in permutations(S.elements, 2))
 
 
 def is_commutative(symbols, d: int) -> bool:

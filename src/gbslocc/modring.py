@@ -39,10 +39,11 @@ def weyl_rows(m: int, n: int, d: int) -> tuple[int, int, int, int]:
     g = gcd(m, d)
     q = d // g
     h = gcd(g, n)
-    # Written out in binary, which is linear in d: a sum of g shifts is
+    # Written out in binary, linear in the comb's own width (g - 1) q + 1,
+    # so a single tooth (g = 1) costs nothing: a sum of g shifts is
     # quadratic when g is large, and the repunit quotient
     # (2^d - 1) // (2^q - 1) when g is small.
-    comb = int(("0" * (q - 1) + "1") * g, 2)
+    comb = int(("1" + "0" * (q - 1)) * (g - 1) + "1", 2) if g > 1 else 1
     return comb, g // h, n // h * pow(m // g, -1, q) % q, q
 
 

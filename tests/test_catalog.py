@@ -4,7 +4,6 @@ import pytest
 
 from gbslocc.catalog import (
     dump_set_rows,
-    example_fixtures,
     golden_class_sizes,
     golden_indistinguishable,
     gpm_word,
@@ -13,6 +12,7 @@ from gbslocc.catalog import (
 )
 from gbslocc.decide import DISTINGUISHABLE, INDISTINGUISHABLE
 from gbslocc.gpm import GbsSet, SetFormatError, load_set_rows
+from worked_examples import example_fixtures
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "gbslocc" / "data"
 

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from gbslocc.catalog import golden_indistinguishable
-from gbslocc.cli import main, render_json
+from gbslocc.catalog import golden_indistinguishable, representatives
+from gbslocc.cli import MAX_ORBIT_CANDIDATES, main, render_json
+from gbslocc.clifford import symplectic_order
 from gbslocc.gpm import format_gbs_set
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -78,14 +79,31 @@ def test_check_rejects_bad_dimension(capsys):
     ("classify", "-d", "65", "-k", "2"),
     # C(40^2 - 1, 2) = 1,277,601 standard sets to audit.
     ("classify", "-d", "40", "-k", "3", "--reps-file", os.devnull),
+    # 8 * |SL(2, Z_64)| = 1,572,864 orbit candidates.
+    ("orbit", "-d", "64", "-s", "0,0;1,0;0,1;2,5;3,7;9,9;11,13;40,41"),
+    # Three 2-set representatives: 6 * |SL(2, Z_64)| = 1,179,648 candidates.
+    ("classify", "-d", "64", "-k", "2", "--reps-file", "{reps}"),
 ])
-def test_oversized_requests_are_refused(capsys, argv):
+def test_oversized_requests_are_refused(capsys, tmp_path, argv):
+    reps = tmp_path / "reps.txt"
+    reps.write_text("0,0;1,0\n0,0;2,0\n0,0;4,0\n", encoding="utf-8")
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *(a.replace("{reps}", str(reps)) for a in argv))
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_orbit_candidate_bound_admits_the_supported_requests():
+    # orbit -d 64 on a 2-set, the 4-set orbits at d = 6, 18, 24, and each
+    # catalogued classify family stay under the bound.
+    assert 2 * symplectic_order(64) == 393_216 <= MAX_ORBIT_CANDIDATES
+    for d in (6, 18, 24):
+        assert 4 * symplectic_order(d) <= MAX_ORBIT_CANDIDATES
+    for d, k in ((4, 4), (5, 4), (5, 5)):
+        family = representatives(d, k)
+        assert k * len(family.entries) * symplectic_order(d) <= MAX_ORBIT_CANDIDATES
 
 
 def test_check_requires_set_or_file(capsys):
@@ -223,13 +241,14 @@ def test_check_batch_json_streams_in_bounded_memory(tmp_path):
 
 
 def test_exact_subcommands_do_not_import_numpy():
-    # Only verify needs dense matrices, so the others start without numpy.
+    # The package needs only the standard library, verify included.
     probe = (
         "import contextlib, io, sys\n"
         "import gbslocc.cli\n"
         "for argv in (['check', '-d', '6', '-s', '0,0;0,1;1,0;1,4;5,5'],\n"
         "             ['classify', '-d', '4', '-k', '4', '--golden'],\n"
         "             ['orbit', '-d', '4', '-s', '0,0;1,0;0,1;2,0'],\n"
+        "             ['verify', '-d', '6', '-s', '0,0;0,1;1,0;1,4;5,5'],\n"
         "             ['tables', '--json']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert gbslocc.cli.main(argv) == 0, argv\n"
@@ -243,6 +262,45 @@ def test_exact_subcommands_do_not_import_numpy():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+NUMPY_FREE_ARGVS = (
+    ["check", "-d", "6", "-s", "0,0;0,1;1,0;1,4;5,5"],
+    ["classify", "-d", "4", "-k", "4", "--golden"],
+    ["orbit", "-d", "4", "-s", "0,0;1,0;0,1;2,0", "--json"],
+    ["verify", "-d", "6", "-s", "0,0;0,1;1,0;1,4;5,5", "--json"],
+    ["verify", "-d", "4", "-s", "1,2;1,0;3,2;3,0"],
+    ["verify", "-d", "4", "-s", "1,2;1,3;2,2;0,1"],
+    ["tables"],
+)
+
+
+def test_every_subcommand_runs_with_numpy_blocked(capsys):
+    # A None entry in sys.modules makes `import numpy` raise ImportError, so
+    # the package must run on the standard library alone, and print the
+    # same bytes as in this process.
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import gbslocc.cli\n"
+        "results = []\n"
+        f"for argv in {NUMPY_FREE_ARGVS!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = gbslocc.cli.main(argv)\n"
+        "    results.append([code, out.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    blocked = json.loads(subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout)
+    for argv, (code, out) in zip(NUMPY_FREE_ARGVS, blocked, strict=True):
+        assert code == 0, argv
+        assert [code, out] == list(run_cli(capsys, *argv)[:2]), argv
 
 
 def test_classify_golden_match(capsys):

@@ -1,4 +1,5 @@
 from gbslocc.clifford import enumerate_symplectic
+from gbslocc.clifford import symplectic_order as closed_form_order
 from gbslocc.gpm import all_gpms
 from oracles import generated_group, symplectic_order
 
@@ -35,6 +36,14 @@ def test_enumeration_count_matches_group_order():
         assert len(mats) == count
         assert len(mats) == symplectic_order(d)
         assert len(set(mats)) == count
+
+
+def test_closed_form_order_matches_enumeration():
+    # The orbit bound uses the closed form, which needs no enumeration.
+    for d in range(2, 13):
+        assert closed_form_order(d) == len(enumerate_symplectic(d))
+    for d in (24, 64, 300, 1000003):
+        assert closed_form_order(d) == symplectic_order(d)
 
 
 def test_enumeration_is_sorted_and_deterministic():

@@ -1,10 +1,11 @@
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
 import pytest
 
-from gbslocc.catalog import example_fixtures, representatives
+from gbslocc.catalog import representatives
 from gbslocc.clifford import enumerate_symplectic
 from gbslocc.decide import (
     COMMUTATIVE,
@@ -34,6 +35,7 @@ from oracles import (
     brute_discriminant_witness,
     brute_report,
 )
+from worked_examples import example_fixtures
 
 L1 = GbsSet(6, ((0, 0), (0, 1), (1, 0), (1, 4), (5, 5)))
 L2 = GbsSet(4, ((1, 2), (1, 0), (3, 2), (3, 0)))
@@ -338,3 +340,17 @@ def test_decide_factors_the_modulus_once():
     smallest_prime_factor.cache_clear()
     decide(S)
     assert smallest_prime_factor.cache_info().misses == 1
+
+
+def test_decide_on_a_random_set_near_the_check_cap_is_fast():
+    # No difference of this set has m = 0, so at the prime d every comb is
+    # a single tooth and the witness (0, 1) sits in row 0: decide must not
+    # spend time linear in d on each of the 780 differences.
+    d = 4194301
+    rng = random.Random(11)
+    S = GbsSet(d, tuple(sorted({(rng.randrange(d), rng.randrange(d)) for _ in range(40)})))
+    assert len(S) == 40
+    start = time.perf_counter()
+    report = decide(S)
+    assert time.perf_counter() - start < 1.0
+    assert report.condition == DISCRIMINANT and report.witness == (0, 1)

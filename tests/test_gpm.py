@@ -10,6 +10,7 @@ from gbslocc.gpm import (
     all_gpms,
     commutes,
     difference_set,
+    format_gbs_set,
     index_set,
     parse_gbs_set,
     slope,
@@ -57,8 +58,8 @@ def test_all_gpms_has_d_squared_symbols():
 def test_parse_round_trips_through_literal():
     S = parse_gbs_set("0,0;0,1;1,0;1,2", 4)
     assert S.elements == ((0, 0), (0, 1), (1, 0), (1, 2))
-    assert S.literal() == "0,0;0,1;1,0;1,2"
-    assert GbsSet.parse(S.literal(), 4) == S
+    assert format_gbs_set(S.elements) == "0,0;0,1;1,0;1,2"
+    assert GbsSet.parse(format_gbs_set(S.elements), 4) == S
 
 
 def test_parse_preserves_input_order():
@@ -98,6 +99,26 @@ def test_set_construction_guards():
         GbsSet(4, ())
     with pytest.raises(SetFormatError):
         GbsSet(4, ((0, 0), (4, 0)))
+
+
+@pytest.mark.parametrize("d, elements", [
+    (4.5, ((0, 0), (1, 0))),
+    (4.0, ((0, 0), (1, 0))),
+    (4, ((2.5, 0), (1, 0))),
+    (4, (("1", "0"), (0, 0))),
+], ids=["float-modulus", "integral-float-modulus", "float-coordinate", "str-coordinate"])
+def test_set_construction_rejects_non_integers(d, elements):
+    # int() would accept each of these: truncate 2.5 to 2, parse '1', and
+    # 4.0 would reach decide as a float.
+    with pytest.raises(SetFormatError, match="must be integers"):
+        GbsSet(d, elements)
+
+
+def test_set_construction_accepts_numpy_integers():
+    np = pytest.importorskip("numpy")
+    S = GbsSet(np.int64(5), ((np.int32(1), np.int64(2)), (0, 0)))
+    assert S == GbsSet(5, ((1, 2), (0, 0)))
+    assert type(S.d) is int and all(type(c) is int for g in S.elements for c in g)
 
 
 def test_difference_set_known_values():

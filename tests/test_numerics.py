@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from gbslocc.decide import decide, discriminant_set
-from gbslocc.gpm import GbsSet, all_gpms, difference_set, is_commutative
+from gbslocc.gpm import GbsSet, all_gpms, difference_set, is_commutative, weyl_exponent
 from gbslocc.numerics import (
     VERIFY_TOL,
     commuting_witness,
     composite_witness,
     eigensystem,
-    gpm_matrix,
     max_abs_expectation,
     one_way_gram_check,
-    weyl_relation_check,
+    weyl_apply,
 )
 from oracles import brute_gpm_matrix
 
@@ -32,49 +31,64 @@ CLOSED_FORM_TOL = 1e-12
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_gpm_matrix_matches_shift_clock_products():
+def weyl_matrix(g, d):
+    """The dense matrix of weyl_apply: column c is U_g applied to |c>."""
+    return np.array([weyl_apply(g, np.eye(d)[c], d) for c in range(d)]).T
+
+
+def test_weyl_apply_matches_shift_clock_products():
     for d in range(2, 9):
         for g in sorted(all_gpms(d)):
             np.testing.assert_allclose(
-                gpm_matrix(g, d), brute_gpm_matrix(g[0], g[1], d), atol=1e-12
+                weyl_matrix(g, d), brute_gpm_matrix(g[0], g[1], d), atol=1e-12
             )
 
 
-def test_gpm_matrix_is_unitary():
+def test_weyl_apply_is_unitary():
     for d in (2, 5, 8):
         for g in sorted(all_gpms(d)):
-            u = gpm_matrix(g, d)
+            u = weyl_matrix(g, d)
             np.testing.assert_allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
 
 
-def test_gpm_matrix_dimension_guard():
+def test_certificate_dimension_guard():
+    message = "dense matrices support 2 <= d <= 64, got 65"
+    with pytest.raises(ValueError, match=message):
+        eigensystem((0, 0), 65)
     with pytest.raises(ValueError):
-        gpm_matrix((0, 0), 65)
-    with pytest.raises(ValueError):
-        gpm_matrix((0, 0), 1)
+        eigensystem((0, 0), 1)
+    with pytest.raises(ValueError, match=message):
+        max_abs_expectation([1] + [0] * 64, {(0, 1)}, 65)
 
 
 def test_trace_vanishes_off_identity():
     for d in (3, 4, 6):
-        assert abs(np.trace(gpm_matrix((0, 0), d)) - d) < 1e-12
+        assert abs(np.trace(weyl_matrix((0, 0), d)) - d) < 1e-12
         for g in all_gpms(d) - {(0, 0)}:
-            assert abs(np.trace(gpm_matrix(g, d))) < 1e-12
+            assert abs(np.trace(weyl_matrix(g, d))) < 1e-12
 
 
 def test_weyl_relation_at_matrix_level():
+    # U_a U_b = omega^e U_b U_a, applied to every basis vector.
     worst = 0.0
     for d in range(2, 7):
+        basis = np.eye(d)
         for a in all_gpms(d):
             for b in all_gpms(d):
-                worst = max(worst, weyl_relation_check(a, b, d))
+                phase = np.exp(2j * np.pi * weyl_exponent(a, b, d) / d)
+                for e in basis:
+                    ab = weyl_apply(a, weyl_apply(b, e, d), d)
+                    ba = weyl_apply(b, weyl_apply(a, e, d), d)
+                    worst = max(worst, np.abs(np.subtract(ab, phase * np.array(ba))).max())
     assert worst < VERIFY_TOL
 
 
 def _assert_diagonalizes(g, d):
-    u = gpm_matrix(g, d)
+    u = brute_gpm_matrix(g[0], g[1], d)
     values, vectors = eigensystem(g, d)
+    vectors = np.array(vectors).T      # column i is the eigenvector for values[i]
     np.testing.assert_allclose(
-        u @ vectors, vectors * values[None, :], rtol=0, atol=CLOSED_FORM_TOL
+        u @ vectors, vectors * np.array(values)[None, :], rtol=0, atol=CLOSED_FORM_TOL
     )
     np.testing.assert_allclose(
         vectors.conj().T @ vectors, np.eye(d), rtol=0, atol=CLOSED_FORM_TOL
@@ -95,9 +109,10 @@ def test_eigensystem_residual_and_orthonormality():
 def test_eigensystem_handles_degenerate_spectra():
     # X^2 at d = 4 has eigenvalues +-1, each twice.
     values, vectors = eigensystem((2, 0), 4)
-    assert sorted(np.round(values.real).astype(int)) == [-1, -1, 1, 1]
+    assert sorted(round(v.real) for v in values) == [-1, -1, 1, 1]
+    vectors = np.array(vectors)
     np.testing.assert_allclose(
-        vectors.conj().T @ vectors, np.eye(4), rtol=0, atol=CLOSED_FORM_TOL
+        vectors.conj() @ vectors.T, np.eye(4), rtol=0, atol=CLOSED_FORM_TOL
     )
 
 
@@ -198,14 +213,14 @@ def test_max_abs_expectation_known_value():
 
 
 def test_cli_import_adds_no_third_party_package():
-    # numpy is the only third-party dependency, so once it is loaded the
-    # command line must pull in nothing beyond the standard library.
+    # The package has no runtime dependency: the command line, numerics
+    # included, pulls in nothing beyond the standard library.
     probe = (
-        "import sys, numpy\n"
+        "import sys\n"
         "before = set(sys.modules)\n"
         "import gbslocc.cli\n"
         "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
-        "print(sorted(added - set(sys.stdlib_module_names) - {'gbslocc', 'numpy'}))\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'gbslocc'}))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
