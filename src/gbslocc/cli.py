@@ -16,14 +16,17 @@ import argparse
 import json
 import signal
 import sys
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import comb
 
 from . import catalog
 from .clifford import symplectic_order
-from .decide import DISTINGUISHABLE, INDISTINGUISHABLE, SMALL_SET, decide, slope_gap
+from .decide import DISTINGUISHABLE, INDISTINGUISHABLE, SMALL_SET, decide, decide_with_gap
 from .decide import COMMUTATIVE, DISCRIMINANT, INVERTIBLE
 from .equivalence import classify, orbit
-from .gpm import INF, GbsSet, SetFormatError, difference_set, format_gbs_set, load_set_rows
+from .gpm import GbsSet, SetFormatError, difference_set, format_gbs_set, load_set_rows
+from .modring import set_bits
 from .numerics import VERIFY_TOL, commuting_witness, composite_witness
 from .numerics import max_abs_expectation, one_way_gram_check
 
@@ -74,61 +77,100 @@ def render_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _parameter_list(values):
-    # Finite residues sorted first, the point at infinity (as "inf") last.
-    finite = sorted(int(v) for v in values if v != INF)
-    return finite + (["inf"] if INF in values else [])
-
-
 def _pair_list(pairs):
     return [[m, n] for m, n in sorted(pairs)]
 
 
-def _report_payload(S: GbsSet, report) -> dict:
-    """The keys that the reports of `check` and `verify` share."""
-    return {
-        "d": S.d,
-        "set": [[m, n] for m, n in S.elements],
-        "verdict": report.verdict,
-        "mode": report.mode,
-        "condition": report.condition,
-        "witness": list(report.witness) if report.witness else None,
-    }
+# The report of `check` is written as text directly, because json.dumps
+# with indent goes through the pure-Python encoder: at d = 6 that took
+# longer than deciding the sets.  _check_json(...) + "\n" is byte for byte
+# render_json of the payload
+#
+#   {"d", "set", "verdict", "mode", "condition", "witness",
+#    "index_cardinality", "slope_gap": null or
+#    {"admissible", "excluded", "gap"}}
+#
+# where each slope-gap list holds finite parameters ascending, then "inf".
+# Keys are written in sorted order; pad indents every line after the first,
+# as render_json does to the elements of a list.
+
+def _json_scalar(value) -> str:
+    if value is None:
+        return "null"
+    return encode_basestring_ascii(value) if isinstance(value, str) else str(value)
 
 
-def _check_payload(S: GbsSet) -> dict:
-    report = decide(S)
-    gap = slope_gap(S) if len(S) >= 2 else None
-    return {
-        **_report_payload(S, report),
-        "index_cardinality": report.index_cardinality,
-        "slope_gap": None if gap is None else {
-            "admissible": _parameter_list(gap.admissible),
-            "excluded": _parameter_list(gap.excluded),
-            "gap": _parameter_list(gap.gap),
-        },
-    }
+def _json_list(items: list[str], pad: str) -> str:
+    if not items:
+        return "[]"
+    inner = f",\n{pad}  "
+    return f"[\n{pad}  {inner.join(items)}\n{pad}]"
 
 
-def _check_lines(payload: dict) -> list[str]:
+def _gap_parameters(d: int, covered: int, inf: bool, inf_text: str):
+    """The excluded and the open parameters of decide_with_gap's row, as text."""
+    excluded = [*map(str, set_bits(covered)), *([inf_text] if inf else [])]
+    gap = [*map(str, set_bits(covered ^ ((1 << d) - 1))), *([] if inf else [inf_text])]
+    return excluded, gap
+
+
+def _slope_gap_json(d: int, covered: int, inf: bool, pad: str) -> str:
+    excluded, gap = _gap_parameters(d, covered, inf, '"inf"')
+    admissible = [*map(str, range(d)), '"inf"']
+    inner = pad + "  "
+    return (f'{{\n{inner}"admissible": {_json_list(admissible, inner)},\n'
+            f'{inner}"excluded": {_json_list(excluded, inner)},\n'
+            f'{inner}"gap": {_json_list(gap, inner)}\n{pad}}}')
+
+
+# A batch at small d repeats a few rows: the 52,360 standard 5-sets at
+# d = 6 have 80.  An entry holds O(d) text, so larger moduli are not cached.
+_CACHED_GAP_D = 256
+_cached_slope_gap_json = lru_cache(maxsize=256)(_slope_gap_json)
+
+
+def _check_json(S: GbsSet, report, gap_row, pad: str = "") -> str:
+    """The JSON report of `check` for S, from decide_with_gap(S)."""
+    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    points = f",\n{p2}".join(f"[\n{p3}{m},\n{p3}{n}\n{p2}]" for m, n in S.elements)
+    if report.witness:
+        x, y = report.witness
+        witness = f"[\n{p2}{x},\n{p2}{y}\n{p1}]"
+    else:
+        witness = "null"
+    if gap_row is None:
+        gap = "null"
+    else:
+        gap_json = _cached_slope_gap_json if S.d <= _CACHED_GAP_D else _slope_gap_json
+        gap = gap_json(S.d, *gap_row, p1)
+    return (f'{{\n{p1}"condition": {_json_scalar(report.condition)},\n'
+            f'{p1}"d": {S.d},\n'
+            f'{p1}"index_cardinality": {_json_scalar(report.index_cardinality)},\n'
+            f'{p1}"mode": {_json_scalar(report.mode)},\n'
+            f'{p1}"set": [\n{p2}{points}\n{p1}],\n'
+            f'{p1}"slope_gap": {gap},\n'
+            f'{p1}"verdict": {_json_scalar(report.verdict)},\n'
+            f'{p1}"witness": {witness}\n{pad}}}')
+
+
+def _check_lines(S: GbsSet, report, gap_row) -> list[str]:
     lines = [
-        f"set {format_gbs_set(payload['set'])} (d = {payload['d']})",
-        f"verdict: {payload['verdict']}",
-        f"mode: {payload['mode']}",
+        f"set {format_gbs_set(S.elements)} (d = {S.d})",
+        f"verdict: {report.verdict}",
+        f"mode: {report.mode}",
     ]
-    if payload["condition"]:
-        lines.append(f"condition: {payload['condition']}")
-    if payload["witness"]:
-        m, n = payload["witness"]
+    if report.condition:
+        lines.append(f"condition: {report.condition}")
+    if report.witness:
+        m, n = report.witness
         lines.append(f"witness: ({m},{n})")
-    if payload["index_cardinality"] is not None:
-        lines.append(f"index cardinality: {payload['index_cardinality']}")
-    gap = payload["slope_gap"]
-    if gap is not None:
-        open_part = ",".join(str(v) for v in gap["gap"]) or "none"
+    if report.index_cardinality is not None:
+        lines.append(f"index cardinality: {report.index_cardinality}")
+    if gap_row is not None:
+        _, gap = _gap_parameters(S.d, *gap_row, "inf")
         lines.append(
-            f"slope gap: {len(gap['gap'])} of {len(gap['admissible'])} "
-            f"parameters open ({open_part})"
+            f"slope gap: {len(gap)} of {S.d + 1} "
+            f"parameters open ({','.join(gap) or 'none'})"
         )
     return lines
 
@@ -149,13 +191,13 @@ def _cmd_check(args) -> int:
         return _fail(EXIT_BAD_INPUT, "give either -s/--set or --file, not both")
     if args.file is None:
         try:
-            payload = _check_payload(GbsSet.parse(args.set, args.d))
+            S = GbsSet.parse(args.set, args.d)
         except SetFormatError as exc:
             return _fail(EXIT_BAD_INPUT, str(exc))
         if args.json:
-            sys.stdout.write(render_json(payload))
+            sys.stdout.write(_check_json(S, *decide_with_gap(S)) + "\n")
         else:
-            print("\n".join(_check_lines(payload)))
+            print("\n".join(_check_lines(S, *decide_with_gap(S))))
         return EXIT_OK
 
     try:
@@ -175,8 +217,7 @@ def _cmd_check(args) -> int:
     # The bytes of render_json(payloads): each element indented one level.
     separator = "[\n  "
     for S in sets:
-        sys.stdout.write(separator)
-        sys.stdout.write(render_json(_check_payload(S))[:-1].replace("\n", "\n  "))
+        sys.stdout.write(separator + _check_json(S, *decide_with_gap(S), "  "))
         separator = ",\n  "
     sys.stdout.write("\n]\n")
     return EXIT_OK
@@ -342,7 +383,12 @@ def _cmd_verify(args) -> int:
 
     certified = deviation < VERIFY_TOL
     payload = {
-        **_report_payload(S, report),
+        "d": S.d,
+        "set": [[m, n] for m, n in S.elements],
+        "verdict": report.verdict,
+        "mode": report.mode,
+        "condition": report.condition,
+        "witness": list(report.witness) if report.witness else None,
         "check": _CHECK_NAMES[report.condition],
         "deviation": deviation,
         "tolerance": VERIFY_TOL,

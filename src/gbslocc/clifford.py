@@ -10,6 +10,7 @@ the symbol (m, n) to ((a1*m + b1*n) % d, (a2*m + b2*n) % d).
 """
 
 from functools import lru_cache
+from math import gcd
 
 from .modring import is_prime
 
@@ -22,12 +23,18 @@ def enumerate_symplectic(d: int) -> tuple[tuple[int, int, int, int], ...]:
     lexicographic order."""
     out = []
     for a1 in range(d):
+        # a1 * b2 = want (mod d) is solvable exactly when g = gcd(a1, d)
+        # divides want, and then b2 runs over one solution mod q = d / g
+        # and its shifts by q, ascending.
+        g = gcd(a1, d)
+        q = d // g
+        inverse = pow(a1 // g, -1, q)
         for b1 in range(d):
             for a2 in range(d):
-                want = 1 + a2 * b1  # need a1 * b2 = want (mod d)
-                for b2 in range(d):
-                    if a1 * b2 % d == want % d:
-                        out.append((a1, b1, a2, b2))
+                want = (1 + a2 * b1) % d
+                if want % g == 0:
+                    first = want // g * inverse % q
+                    out.extend((a1, b1, a2, b2) for b2 in range(first, d, q))
     return tuple(out)
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "condition_invertible",
     "slope_gap",
     "decide",
+    "decide_with_gap",
 ]
 
 # Verdicts.
@@ -120,10 +121,13 @@ def _row_cover(rows, x: int) -> int:
     return covered
 
 
-def _free_symbols(diffs: list[Gpm], d: int):
+def _rows(diffs: list[Gpm], d: int) -> list[tuple[int, int, int, int]]:
+    return [weyl_rows(m, n, d) for m, n in diffs]
+
+
+def _free_symbols(rows, d: int):
     """Yield the symbols commuting with no difference, in lexicographic order."""
     full = (1 << d) - 1
-    rows = [weyl_rows(m, n, d) for m, n in diffs]
     for x in range(d):
         free = full ^ _row_cover(rows, x)
         while free:
@@ -145,7 +149,7 @@ def discriminant_set(S: GbsSet) -> frozenset[Gpm]:
     at the first member, its witness; the whole set can hold about d^2
     symbols, and decide never builds it.
     """
-    return frozenset(_free_symbols(_differences(S, "discriminant set"), S.d))
+    return frozenset(_free_symbols(_rows(_differences(S, "discriminant set"), S.d), S.d))
 
 
 def condition_commutative(S: GbsSet) -> bool:
@@ -170,10 +174,15 @@ def slope_gap(S: GbsSet) -> SlopeGap:
     """
     diffs = _differences(S, "slope gap")
     d = S.d
-    covered = _row_cover([weyl_rows(m, n, d) for m, n in diffs], d - 1)
-    excluded = frozenset(set_bits(covered)) | {INF for m, _ in diffs if m == 0}
+    covered, inf = _gap_row(diffs, _rows(diffs, d), d)
+    excluded = frozenset(set_bits(covered)) | ({INF} if inf else frozenset())
     admissible = frozenset(range(d)) | {INF}
     return SlopeGap(d, admissible, excluded, admissible - excluded)
+
+
+def _gap_row(diffs: list[Gpm], rows, d: int) -> tuple[int, bool]:
+    """Row d - 1 of the scan as a d-bit mask, and whether a pair excludes INF."""
+    return _row_cover(rows, d - 1), any(m == 0 for m, _ in diffs)
 
 
 def decide(S: GbsSet) -> DecisionReport:
@@ -183,9 +192,29 @@ def decide(S: GbsSet) -> DecisionReport:
     exhaustiveness results for (4, 4) and d = 5.  Anything else is
     INCONCLUSIVE: the conditions are only sufficient in general.
     """
+    return _ladder(S, _differences(S, "decide") if len(S) >= 2 else [], None)
+
+
+def decide_with_gap(S: GbsSet) -> tuple[DecisionReport, tuple[int, bool] | None]:
+    """decide(S) and the slope gap's row, read from one list of Weyl rows.
+
+    The row is (covered, inf): the finite parameters that some pair
+    excludes, as a d-bit mask, and whether a pair excludes INF.  It is None
+    for a singleton, which has no slope gap.  slope_gap(S) holds the same
+    parameters as frozensets.
+    """
+    if len(S) < 2:
+        return decide(S), None
+    d = S.d
+    diffs = _differences(S, "decide")
+    rows = _rows(diffs, d)
+    return _ladder(S, diffs, rows), _gap_row(diffs, rows, d)
+
+
+def _ladder(S: GbsSet, diffs: list[Gpm], rows) -> DecisionReport:
+    """The rules of decide; rows are built here when the caller has none."""
     d, size = S.d, len(S)
     prime = is_prime(d)
-    diffs = _differences(S, "decide") if size >= 2 else []
     idx = len({slope(g, d) for g in diffs}) if diffs and prime else None
     report = partial(DecisionReport, index_cardinality=idx)
 
@@ -194,7 +223,7 @@ def decide(S: GbsSet) -> DecisionReport:
     if size >= d + 1:
         return report(INDISTINGUISHABLE, FULL_LOCC, TOO_MANY)
 
-    witness = next(_free_symbols(diffs, d), None)
+    witness = next(_free_symbols(_rows(diffs, d) if rows is None else rows, d), None)
     if witness is not None:
         return report(DISTINGUISHABLE, ONE_WAY, DISCRIMINANT, witness=witness)
     if is_commutative(diffs, d):

@@ -123,6 +123,15 @@ def symplectic_order(d):
     return total
 
 
+def brute_symplectic(d):
+    """Every (a1, b1, a2, b2) over Z_d with determinant one, by testing all
+    d^4 tuples, in lexicographic order."""
+    return tuple(
+        (a1, b1, a2, b2) for a1, b1, a2, b2 in product(range(d), repeat=4)
+        if (a1 * b2 - a2 * b1) % d == 1
+    )
+
+
 def generated_group(d):
     """Closure of the Fourier (0, d-1, 1, 0) and phase (1, 0, 1, 1) matrices
     under products mod d, as (a1, b1, a2, b2) tuples of [[a1, b1], [a2, b2]]."""

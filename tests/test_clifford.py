@@ -1,7 +1,7 @@
 from gbslocc.clifford import enumerate_symplectic
 from gbslocc.clifford import symplectic_order as closed_form_order
 from gbslocc.gpm import all_gpms
-from oracles import generated_group, symplectic_order
+from oracles import brute_symplectic, generated_group, symplectic_order
 
 
 def test_determinant_validation():
@@ -44,6 +44,13 @@ def test_closed_form_order_matches_enumeration():
         assert closed_form_order(d) == len(enumerate_symplectic(d))
     for d in (24, 64, 300, 1000003):
         assert closed_form_order(d) == symplectic_order(d)
+
+
+def test_enumeration_matches_brute_force():
+    # The enumeration solves a1*b2 = 1 + a2*b1 for b2; the oracle tests
+    # every tuple.
+    for d in range(2, 25):
+        assert enumerate_symplectic(d) == brute_symplectic(d), d
 
 
 def test_enumeration_is_sorted_and_deterministic():
