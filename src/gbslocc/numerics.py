@@ -1,22 +1,22 @@
 """Closed-form certificates, checked through the Weyl operators' action.
 
-Every certificate the decision layer emits has an exact closed form over
-Z_d, and each is built from it with integer exponents and then measured
-against the unitaries themselves.  The Weyl operator X^m Z^n sends |c> to
-omega^{n c} |c + m>, a permutation with phases, so `weyl_apply` applies it
-to a vector in O(d) with plain Python complex numbers.  A discriminant
-witness permutes the basis along cycles, so its eigenbasis is a phased
-Fourier basis on each cycle; Alice measures in it, and Bob's residual
-states must be pairwise orthogonal.  Commutative difference sets and
-factor-pair witnesses are both served by a comb, a uniform superposition
-over an arithmetic progression of basis states, whose expectation on every
-difference vanishes.  The maximally entangled reference state is never
-materialized; acting on one half of it turns overlap checks into inner
-products of d-vectors.
+Every constructive verdict reduces to one fact: a unit vector v with
+<v|U_delta|v> = 0 for every difference delta of the set.  Twirling |v><v|
+over the d^2 Weyl operators then gives Alice a measurement after which
+Bob's states are pairwise orthogonal (Nathanson, J. Math. Phys. 46,
+062103 (2005)).  A discriminant witness supplies v as one of its
+eigenvectors, a phased Fourier vector on the cycle through 0; commutative
+difference sets and factor-pair witnesses supply a comb, a uniform
+superposition over an arithmetic progression of basis states.  Each v has
+an exact closed form over Z_d, built with integer exponents, and
+`max_abs_expectation` measures it against the unitaries themselves.  The
+Weyl operator X^m Z^n sends |c> to omega^{n c} |c + m>, a permutation with
+phases, so `weyl_apply` applies it to a vector in O(d) with plain Python
+complex numbers.
 """
 
 from cmath import exp, pi
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import gcd, sqrt
 
 from .gpm import GbsSet, commutes, difference_set, is_commutative
@@ -25,7 +25,7 @@ from .modring import is_prime, smallest_prime_factor
 __all__ = [
     "VERIFY_TOL",
     "weyl_apply",
-    "eigensystem",
+    "eigenvector",
     "one_way_gram_check",
     "commuting_witness",
     "composite_witness",
@@ -34,10 +34,10 @@ __all__ = [
 
 VERIFY_TOL = 1e-9
 
-# The Gram check of a k-set takes O(d^2 (d + k^2)) time: each of the d
-# eigenvectors against all d others, and k^2 / 2 overlaps of Bob's states
-# for each.  That is about 1.4 s for a 64-set at d = 64, where certificates
-# stop; the refusal is `verify`'s exit-3 error line.
+# One check takes O(d |Delta|) time, and |Delta| grows like k^2 up to d^2,
+# so d alone does not bound the work; nor has the float error of the long
+# cycles (L = d) been studied past d = 64.  Certificates stop there; the
+# refusal is `verify`'s exit-3 error line.
 _MAX_DIM = 64
 
 
@@ -63,64 +63,46 @@ def _inner(u, v) -> complex:
     return sum(x.conjugate() * y for x, y in zip(u, v))
 
 
-def eigensystem(g, d: int) -> tuple[list[complex], list[list[complex]]]:
-    """Exact eigen-decomposition of the unitary for the symbol (m, n).
+def eigenvector(g, d: int) -> list[complex]:
+    """Closed-form unit eigenvector of the unitary for the symbol (m, n).
 
-    X^m Z^n permutes the basis along gcd(m, d) cycles c_j = c_0 + j m of
-    length L = d / gcd(m, d).  With theta_j = sum_{i<j} n c_i and
-    Theta = theta_L, the eigenvalues on a cycle are the L roots of
-    lambda^L = omega^Theta, and the eigenvector for lambda has entries
-    v[c_j] = omega^{theta_j} lambda^{-j} / sqrt(L).  Disjoint cycles and
-    distinct roots make the vectors orthonormal.  Returns (eigenvalues,
-    vectors) with vectors[i] the eigenvector for eigenvalues[i]; every
+    X^m Z^n permutes the basis along cycles of length L = d / gcd(m, d).
+    On the cycle through 0, c_j = j m, take theta_j = sum_{i<j} n c_i and
+    Theta = theta_L.  The vector with entries
+    v[c_j] = omega^{theta_j - j Theta / L} / sqrt(L), and zero off the cycle,
+    has eigenvalue omega^{Theta / L}, one L-th root of omega^Theta.  Every
     phase is an integer power of exp(2 pi i / (L d)), reduced before use.
     """
     _check_dim(d)
     m, n = g[0] % d, g[1] % d
     length = d // gcd(m, d)
-    order = length * d
-    values, vectors = [], []
-    for start in range(d // length):
-        cycle = [(start + j * m) % d for j in range(length)]
-        theta = [n * t % d for t in accumulate(cycle, initial=0)]
-        for k in range(length):
-            root = theta[-1] + k * d                    # lambda_k^L = omega^Theta
-            vec = [0j] * d
-            for j, c in enumerate(cycle):
-                vec[c] = _phase(length * theta[j] - j * root, order) / sqrt(length)
-            values.append(_phase(root, order))
-            vectors.append(vec)
-    return values, vectors
+    cycle = [j * m % d for j in range(length)]
+    theta = [n * t % d for t in accumulate(cycle, initial=0)]
+    vec = [0j] * d
+    for j, c in enumerate(cycle):
+        vec[c] = _phase(length * theta[j] - j * theta[-1], length * d) / sqrt(length)
+    return vec
 
 
 def one_way_gram_check(S: GbsSet, witness) -> float:
     """Largest deviation of the witness protocol from a perfect one.
 
-    Alice measures in the witness eigenbasis; for each eigenvector v the
-    states U_i v (U_i running over S) must be pairwise orthogonal for the
-    protocol to be perfect.  The witness must lie in the discriminant set.
-    The closed-form basis is measured too: its residual under the witness
-    operator and its distance from orthonormality are folded in.
+    The witness must lie in the discriminant set: U_T^dag U_delta U_T =
+    omega^e U_delta with e != 0 for every difference delta.  For any
+    eigenvector U_T v = lambda v this gives <v|U_delta|v> =
+    omega^e <v|U_delta|v>, so the expectation vanishes, and twirling |v><v|
+    over the Weyl operators is Alice's measurement; Bob's states are then
+    pairwise orthogonal.  One closed-form eigenvector is measured.
     """
     d = S.d
-    for delta in sorted(difference_set(S)):
+    deltas = difference_set(S)
+    for delta in sorted(deltas):
         if commutes(witness, delta, d):
             raise ValueError(
                 f"witness {witness} commutes with difference {delta}; "
                 "it does not lie in the discriminant set"
             )
-    if len(S) == 1:
-        return 0.0
-    values, vecs = eigensystem(witness, d)
-    worst = 0.0
-    for i, (value, v) in enumerate(zip(values, vecs)):
-        image = weyl_apply(witness, v, d)
-        bob = [weyl_apply(g, v, d) for g in S.elements]
-        worst = max(worst,
-                    *(abs(a - value * b) for a, b in zip(image, v)),
-                    *(abs(_inner(u, v) - (i == j)) for j, u in enumerate(vecs)),
-                    *(abs(_inner(a, b)) for a, b in combinations(bob, 2)))
-    return worst
+    return max_abs_expectation(eigenvector(witness, d), deltas, d)
 
 
 def _comb(d: int, stride: int, teeth: int) -> list[complex]:
@@ -175,6 +157,8 @@ def composite_witness(S: GbsSet) -> list[complex]:
 
 
 def max_abs_expectation(vec, symbols, d: int) -> float:
-    """Max over the symbols of |<v|U|v>| for a fixed vector v."""
+    """Max of | ||v|| - 1 | and, over the symbols, |<v|U|v>|: how far v is
+    from a unit vector whose Weyl twirl separates the states."""
     _check_dim(d)
-    return max((abs(_inner(vec, weyl_apply(g, vec, d))) for g in sorted(symbols)), default=0.0)
+    return max([abs(sqrt(_inner(vec, vec).real) - 1)]
+               + [abs(_inner(vec, weyl_apply(g, vec, d))) for g in sorted(symbols)])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from gbslocc.numerics import (
     VERIFY_TOL,
     commuting_witness,
     composite_witness,
-    eigensystem,
+    eigenvector,
     max_abs_expectation,
     one_way_gram_check,
     weyl_apply,
@@ -54,9 +55,9 @@ def test_weyl_apply_is_unitary():
 def test_certificate_dimension_guard():
     message = "dense matrices support 2 <= d <= 64, got 65"
     with pytest.raises(ValueError, match=message):
-        eigensystem((0, 0), 65)
+        eigenvector((0, 0), 65)
     with pytest.raises(ValueError):
-        eigensystem((0, 0), 1)
+        eigenvector((0, 0), 1)
     with pytest.raises(ValueError, match=message):
         max_abs_expectation([1] + [0] * 64, {(0, 1)}, 65)
 
@@ -83,37 +84,24 @@ def test_weyl_relation_at_matrix_level():
     assert worst < VERIFY_TOL
 
 
-def _assert_diagonalizes(g, d):
-    u = brute_gpm_matrix(g[0], g[1], d)
-    values, vectors = eigensystem(g, d)
-    vectors = np.array(vectors).T      # column i is the eigenvector for values[i]
-    np.testing.assert_allclose(
-        u @ vectors, vectors * np.array(values)[None, :], rtol=0, atol=CLOSED_FORM_TOL
-    )
-    np.testing.assert_allclose(
-        vectors.conj().T @ vectors, np.eye(d), rtol=0, atol=CLOSED_FORM_TOL
-    )
+def _assert_unit_eigenvector(g, d):
+    vec = np.array(eigenvector(g, d))
+    image = brute_gpm_matrix(g[0], g[1], d) @ vec
+    value = np.vdot(vec, image)
+    assert abs(np.linalg.norm(vec) - 1.0) < CLOSED_FORM_TOL
+    assert abs(abs(value) - 1.0) < CLOSED_FORM_TOL
+    np.testing.assert_allclose(image, value * vec, rtol=0, atol=CLOSED_FORM_TOL)
 
 
-def test_eigensystem_residual_and_orthonormality():
+def test_eigenvector_is_a_unit_eigenvector():
     for d in range(2, 17):
         for g in sorted(all_gpms(d)):
-            _assert_diagonalizes(g, d)
+            _assert_unit_eigenvector(g, d)
     # The shifts give every cycle length 1, 2, 4, ..., 64.
     sample = (0, 1, 2, 3, 4, 8, 16, 21, 32, 63)
     for m in sample:
         for n in sample:
-            _assert_diagonalizes((m, n), 64)
-
-
-def test_eigensystem_handles_degenerate_spectra():
-    # X^2 at d = 4 has eigenvalues +-1, each twice.
-    values, vectors = eigensystem((2, 0), 4)
-    assert sorted(round(v.real) for v in values) == [-1, -1, 1, 1]
-    vectors = np.array(vectors)
-    np.testing.assert_allclose(
-        vectors.conj() @ vectors.T, np.eye(4), rtol=0, atol=CLOSED_FORM_TOL
-    )
+            _assert_unit_eigenvector((m, n), 64)
 
 
 def test_one_way_gram_check_certifies_discriminant_witnesses():
@@ -130,6 +118,16 @@ def test_one_way_gram_check_rejects_non_witness():
 
 def test_one_way_gram_check_trivial_singleton():
     assert one_way_gram_check(GbsSet(4, ((1, 2),)), (0, 1)) == 0.0
+
+
+def test_one_way_gram_check_on_the_64_set_is_fast():
+    # One eigenvector against 63 differences, not the whole eigenbasis.
+    S = GbsSet(64, tuple((0, n) for n in range(64)))
+    witness = decide(S).witness
+    start = time.perf_counter()
+    deviation = one_way_gram_check(S, witness)
+    assert time.perf_counter() - start < 0.25
+    assert deviation < VERIFY_TOL
 
 
 def test_commuting_witness_kills_all_differences():
@@ -210,6 +208,14 @@ def test_max_abs_expectation_known_value():
     vec = np.zeros(4, dtype=complex)
     vec[0] = 1.0
     assert abs(max_abs_expectation(vec, {(0, 1)}, 4) - 1.0) < 1e-12
+
+
+def test_max_abs_expectation_reports_non_unit_vectors():
+    # Both vectors have zero expectation on (1, 0); only the norm is wrong.
+    doubled = [2.0] + [0.0] * 3
+    assert max_abs_expectation(doubled, {(1, 0)}, 4) >= 1.0
+    assert max_abs_expectation([0j] * 4, {(1, 0)}, 4) >= 1.0
+    assert max_abs_expectation([0j] * 4, set(), 4) >= 1.0
 
 
 def test_cli_import_adds_no_third_party_package():
