@@ -22,13 +22,11 @@ from math import comb
 
 from . import catalog
 from .clifford import symplectic_order
-from .decide import DISTINGUISHABLE, INDISTINGUISHABLE, SMALL_SET, decide, decide_with_gap
-from .decide import COMMUTATIVE, DISCRIMINANT, INVERTIBLE
+from .decide import INDISTINGUISHABLE, decide, decide_with_gap
 from .equivalence import classify, orbit
-from .gpm import GbsSet, SetFormatError, difference_set, format_gbs_set, load_set_rows
+from .gpm import GbsSet, SetFormatError, format_gbs_set, load_set_rows
 from .modring import set_bits
-from .numerics import VERIFY_TOL, commuting_witness, composite_witness
-from .numerics import max_abs_expectation, one_way_gram_check
+from .numerics import VERIFY_TOL, certify
 
 EXIT_OK = 0
 EXIT_DEVIATION = 1
@@ -50,12 +48,6 @@ MAX_CLASSIFY_SETS = 10 ** 6
 # `classify` builds one orbit per representative: about 1 s per 400,000
 # candidates of a 2-set at d = 64.
 MAX_ORBIT_CANDIDATES = 10 ** 6
-
-_CHECK_NAMES = {
-    DISCRIMINANT: "one_way_gram",
-    COMMUTATIVE: "commuting_witness",
-    INVERTIBLE: "composite_witness",
-}
 
 
 def _fail(code: int, message: str) -> int:
@@ -365,22 +357,17 @@ def _cmd_verify(args) -> int:
     except SetFormatError as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
     report = decide(S)
-
-    if report.verdict != DISTINGUISHABLE or report.condition == SMALL_SET:
+    try:
+        certificate = certify(S, report)
+    except ValueError as exc:
+        return _fail(EXIT_UNSUPPORTED, str(exc))
+    if certificate is None:
         print(f"nothing to certify: verdict {report.verdict} "
               f"({report.condition or 'no constructive condition'})",
               file=sys.stderr)
         return EXIT_NOTHING_TO_CERTIFY
 
-    try:
-        if report.condition == DISCRIMINANT:
-            deviation = one_way_gram_check(S, report.witness)
-        else:
-            witness = commuting_witness if report.condition == COMMUTATIVE else composite_witness
-            deviation = max_abs_expectation(witness(S), difference_set(S), S.d)
-    except ValueError as exc:
-        return _fail(EXIT_UNSUPPORTED, str(exc))
-
+    check, deviation = certificate
     certified = deviation < VERIFY_TOL
     payload = {
         "d": S.d,
@@ -389,7 +376,7 @@ def _cmd_verify(args) -> int:
         "mode": report.mode,
         "condition": report.condition,
         "witness": list(report.witness) if report.witness else None,
-        "check": _CHECK_NAMES[report.condition],
+        "check": check,
         "deviation": deviation,
         "tolerance": VERIFY_TOL,
         "certified": certified,
@@ -397,7 +384,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         sys.stdout.write(render_json(payload))
     else:
-        print(f"condition {report.condition} certified by {payload['check']}: "
+        print(f"condition {report.condition} certified by {check}: "
               f"max deviation {deviation:.3e} "
               f"({'below' if certified else 'ABOVE'} tolerance {VERIFY_TOL:.0e})")
     return EXIT_OK if certified else EXIT_DEVIATION

@@ -9,15 +9,16 @@ protocol.  The reported witness is the lexicographically least such T,
 found by scanning rows x = 0, 1, ... of Z_d x Z_d and stopping at the first
 free y: each row is one bitmask of d bits, the OR of the rows that
 modring.weyl_rows gives for the differences, and the slope gap is row d - 1
-of the same scan.  The discriminant set itself can have about d^2 members;
-decide never builds it, and its memory stays linear in d.  A fully
-commutative Delta(S) admits a common eigenvector witness; and for composite
-d a difference set whose members each carry an invertible coordinate admits
-a shared eigenstate of a factor pair of shift/clock powers.  Those three
-sufficient conditions are checked in a fixed order.  For (d, k) = (4, 4)
-and d = 5 with k in {4, 5} the condition family is known to be exhaustive,
-so a fully negative outcome there is a proof of indistinguishability rather
-than an unknown.
+of the same scan.  At prime d the rows also carry each difference's slope,
+whose distinct values the index cardinality counts.  The discriminant set
+itself can have about d^2 members; decide never builds it, and its memory
+stays linear in d.  A fully commutative Delta(S) admits a common
+eigenvector witness; and for composite d a difference set whose members
+each carry an invertible coordinate admits a shared eigenstate of a factor
+pair of shift/clock powers.  Those three sufficient conditions are checked
+in a fixed order.  For (d, k) = (4, 4) and d = 5 with k in {4, 5} the
+condition family is known to be exhaustive, so a fully negative outcome
+there is a proof of indistinguishability rather than an unknown.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from functools import partial
 from itertools import combinations
 from math import gcd
 
-from .gpm import INF, GbsSet, Gpm, is_commutative, slope
+from .gpm import INF, GbsSet, Gpm, is_commutative
 from .modring import is_prime, set_bits, smallest_prime_factor, weyl_rows
 
 __all__ = [
@@ -97,19 +98,27 @@ class DecisionReport:
     index_cardinality: int | None = None
 
 
-def _differences(S: GbsSet, what: str) -> list[Gpm]:
+def _differences(S: GbsSet, what: str | None = None) -> list[Gpm]:
     """One difference per unordered pair of S.
 
     A difference and its negative commute with the same symbols, so every
     rule below reads this list in place of the negation-closed Delta(S).
+    A singleton has none: decide reads that as an empty list, and the
+    public rules, which name themselves as `what`, refuse it.
     """
-    if len(S) < 2:
+    if len(S) < 2 and what:
         raise ValueError(f"{what} needs at least two elements")
     d = S.d
     return [
         ((mi - mj) % d, (ni - nj) % d)
         for (mi, ni), (mj, nj) in combinations(S.elements, 2)
     ]
+
+
+def _pair_rows(S: GbsSet, what: str | None = None):
+    """The pair differences of S, as _differences(S, what), and their Weyl rows."""
+    diffs = _differences(S, what)
+    return diffs, [weyl_rows(m, n, S.d) for m, n in diffs]
 
 
 def _row_cover(rows, x: int) -> int:
@@ -119,10 +128,6 @@ def _row_cover(rows, x: int) -> int:
         if x % r == 0:
             covered |= comb << (x // r * step % q)
     return covered
-
-
-def _rows(diffs: list[Gpm], d: int) -> list[tuple[int, int, int, int]]:
-    return [weyl_rows(m, n, d) for m, n in diffs]
 
 
 def _free_symbols(rows, d: int):
@@ -149,7 +154,7 @@ def discriminant_set(S: GbsSet) -> frozenset[Gpm]:
     at the first member, its witness; the whole set can hold about d^2
     symbols, and decide never builds it.
     """
-    return frozenset(_free_symbols(_rows(_differences(S, "discriminant set"), S.d), S.d))
+    return frozenset(_free_symbols(_pair_rows(S, "discriminant set")[1], S.d))
 
 
 def condition_commutative(S: GbsSet) -> bool:
@@ -172,17 +177,20 @@ def slope_gap(S: GbsSet) -> SlopeGap:
     difference, so the finite exclusions are row d - 1 of the witness scan;
     a pair with equal m excludes INF.
     """
-    diffs = _differences(S, "slope gap")
     d = S.d
-    covered, inf = _gap_row(diffs, _rows(diffs, d), d)
+    covered, inf = _gap_row(_pair_rows(S, "slope gap")[1], d)
     excluded = frozenset(set_bits(covered)) | ({INF} if inf else frozenset())
     admissible = frozenset(range(d)) | {INF}
     return SlopeGap(d, admissible, excluded, admissible - excluded)
 
 
-def _gap_row(diffs: list[Gpm], rows, d: int) -> tuple[int, bool]:
-    """Row d - 1 of the scan as a d-bit mask, and whether a pair excludes INF."""
-    return _row_cover(rows, d - 1), any(m == 0 for m, _ in diffs)
+def _gap_row(rows, d: int) -> tuple[int, bool]:
+    """Row d - 1 of the scan as a d-bit mask, and whether a pair excludes INF.
+
+    A difference has m = 0, and so excludes INF, exactly when its rows have
+    period q = 1.
+    """
+    return _row_cover(rows, d - 1), any(q == 1 for _, _, _, q in rows)
 
 
 def decide(S: GbsSet) -> DecisionReport:
@@ -192,7 +200,7 @@ def decide(S: GbsSet) -> DecisionReport:
     exhaustiveness results for (4, 4) and d = 5.  Anything else is
     INCONCLUSIVE: the conditions are only sufficient in general.
     """
-    return _ladder(S, _differences(S, "decide") if len(S) >= 2 else [], None)
+    return _ladder(S, *_pair_rows(S))
 
 
 def decide_with_gap(S: GbsSet) -> tuple[DecisionReport, tuple[int, bool] | None]:
@@ -203,19 +211,20 @@ def decide_with_gap(S: GbsSet) -> tuple[DecisionReport, tuple[int, bool] | None]
     for a singleton, which has no slope gap.  slope_gap(S) holds the same
     parameters as frozensets.
     """
-    if len(S) < 2:
-        return decide(S), None
-    d = S.d
-    diffs = _differences(S, "decide")
-    rows = _rows(diffs, d)
-    return _ladder(S, diffs, rows), _gap_row(diffs, rows, d)
+    diffs, rows = _pair_rows(S)
+    return _ladder(S, diffs, rows), _gap_row(rows, S.d) if rows else None
 
 
 def _ladder(S: GbsSet, diffs: list[Gpm], rows) -> DecisionReport:
-    """The rules of decide; rows are built here when the caller has none."""
+    """The rules of decide, on the pair differences of S and their Weyl rows.
+
+    At prime d a difference (m, n) has rows of period q = d and step
+    n * m^-1, its slope, when m != 0, and period q = 1 when m = 0, the slope
+    INF; the index cardinality counts the distinct slopes.
+    """
     d, size = S.d, len(S)
     prime = is_prime(d)
-    idx = len({slope(g, d) for g in diffs}) if diffs and prime else None
+    idx = len({step if q > 1 else INF for _, _, step, q in rows}) if rows and prime else None
     report = partial(DecisionReport, index_cardinality=idx)
 
     if size <= 3 and (size <= 2 or d >= 3):
@@ -223,7 +232,7 @@ def _ladder(S: GbsSet, diffs: list[Gpm], rows) -> DecisionReport:
     if size >= d + 1:
         return report(INDISTINGUISHABLE, FULL_LOCC, TOO_MANY)
 
-    witness = next(_free_symbols(_rows(diffs, d) if rows is None else rows, d), None)
+    witness = next(_free_symbols(rows, d), None)
     if witness is not None:
         return report(DISTINGUISHABLE, ONE_WAY, DISCRIMINANT, witness=witness)
     if is_commutative(diffs, d):

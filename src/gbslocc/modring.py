@@ -69,7 +69,7 @@ def solve_weyl_congruence(m: int, n: int, d: int) -> frozenset[tuple[int, int]]:
     )
 
 
-# Cached: is_prime and gpm.slope ask about the same modulus once per
+# Cached: gpm.slope asks is_prime about the same modulus once per
 # difference, and trial division costs O(sqrt(d)).
 @lru_cache(maxsize=64)
 def smallest_prime_factor(d: int) -> int:

@@ -9,7 +9,8 @@ eigenvectors, a phased Fourier vector on the cycle through 0; commutative
 difference sets and factor-pair witnesses supply a comb, a uniform
 superposition over an arithmetic progression of basis states.  Each v has
 an exact closed form over Z_d, built with integer exponents, and
-`max_abs_expectation` measures it against the unitaries themselves.  The
+`max_abs_expectation` measures it against the unitaries themselves, and
+`certify` picks the vector and the check for a decision report.  The
 Weyl operator X^m Z^n sends |c> to omega^{n c} |c + m>, a permutation with
 phases, so `weyl_apply` applies it to a vector in O(d) with plain Python
 complex numbers.
@@ -19,6 +20,7 @@ from cmath import exp, pi
 from itertools import accumulate
 from math import gcd, sqrt
 
+from .decide import COMMUTATIVE, DISCRIMINANT, INVERTIBLE
 from .gpm import GbsSet, commutes, difference_set, is_commutative
 from .modring import is_prime, smallest_prime_factor
 
@@ -30,6 +32,7 @@ __all__ = [
     "commuting_witness",
     "composite_witness",
     "max_abs_expectation",
+    "certify",
 ]
 
 VERIFY_TOL = 1e-9
@@ -43,7 +46,7 @@ _MAX_DIM = 64
 
 def _check_dim(d: int) -> None:
     if not 2 <= d <= _MAX_DIM:
-        raise ValueError(f"dense matrices support 2 <= d <= {_MAX_DIM}, got {d}")
+        raise ValueError(f"certificates are checked at 2 <= d <= {_MAX_DIM} only, got {d}")
 
 
 def _phase(e: int, order: int) -> complex:
@@ -162,3 +165,22 @@ def max_abs_expectation(vec, symbols, d: int) -> float:
     _check_dim(d)
     return max([abs(sqrt(_inner(vec, vec).real) - 1)]
                + [abs(_inner(vec, weyl_apply(g, vec, d))) for g in sorted(symbols)])
+
+
+def certify(S: GbsSet, report):
+    """Check the certificate of report = decide(S): (check name, deviation).
+
+    DISCRIMINANT is checked by one_way_gram_check on its witness,
+    COMMUTATIVE and INVERTIBLE by max_abs_expectation on their combs.  Any
+    other condition has no constructive certificate and gives None.  Past
+    d = 64 a constructive condition raises ValueError.
+    """
+    if report.condition == DISCRIMINANT:
+        return "one_way_gram", one_way_gram_check(S, report.witness)
+    if report.condition == COMMUTATIVE:
+        name, comb = "commuting_witness", commuting_witness(S)
+    elif report.condition == INVERTIBLE:
+        name, comb = "composite_witness", composite_witness(S)
+    else:
+        return None
+    return name, max_abs_expectation(comb, difference_set(S), S.d)

@@ -1,5 +1,6 @@
 """The report of `check --json` is written directly, not through json.dumps;
-these tests hold it to the bytes of render_json."""
+these tests hold it to the bytes of render_json, and pin the batch output
+at d = 5, with and without --json."""
 
 import contextlib
 import hashlib
@@ -118,20 +119,22 @@ def test_check_json_bytes_equal_render_json(batch):
     assert json.loads(out) == [reference_payload(S) for S in sets]
 
 
-def test_all_standard_5_sets_at_d5_are_pinned(tmp_path):
-    # The digest of the output before the direct writer, which must keep
-    # every byte.  The 10 MB report is written and hashed outside this
-    # process, whose peak RSS the memory probes of later tests inherit.
+def standard_5_set_digest(tmp_path, *flags):
+    """sha256 of `check -d 5 --file` on all standard 5-sets at d = 5.
+
+    The report (10 MB with --json) is written and hashed outside this
+    process, whose peak RSS the memory probes of later tests inherit.
+    """
     nonzero = [(m, n) for m in range(5) for n in range(5)][1:]
     batch = tmp_path / "sets.txt"
     batch.write_text(
         "".join(format_gbs_set(((0, 0),) + rest) + "\n" for rest in combinations(nonzero, 4)),
         encoding="utf-8",
     )
-    report = tmp_path / "report.json"
+    report = tmp_path / "report"
     with open(report, "wb") as out:
         subprocess.run(
-            [sys.executable, "-m", "gbslocc.cli", "check", "-d", "5", "--file", str(batch), "--json"],
+            [sys.executable, "-m", "gbslocc.cli", "check", "-d", "5", "--file", batch, *flags],
             env={**os.environ, "PYTHONPATH": str(SRC)},
             stdout=out,
             check=True,
@@ -140,5 +143,18 @@ def test_all_standard_5_sets_at_d5_are_pinned(tmp_path):
     with open(report, "rb") as f:
         while chunk := f.read(1 << 20):
             digest.update(chunk)
-    assert digest.hexdigest() == (
+    return digest.hexdigest()
+
+
+def test_all_standard_5_sets_at_d5_are_pinned(tmp_path):
+    # The digest of the output before the direct writer, which must keep
+    # every byte.
+    assert standard_5_set_digest(tmp_path, "--json") == (
         "e9659d6d1025e00f160a06f3d13cb0a7ade5915fbbb626a35629b9da8158bcdb")
+
+
+def test_all_standard_5_sets_at_d5_text_is_pinned(tmp_path):
+    # The one-line summaries go through decide(), the JSON reports through
+    # decide_with_gap(); both run one ladder, so each path is pinned.
+    assert standard_5_set_digest(tmp_path) == (
+        "fed79d9db104a45e7e42ff0ce8d7360526e8ae6a46a66abcf402c503439cbd75")

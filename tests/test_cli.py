@@ -467,6 +467,23 @@ def test_verify_nothing_to_certify(capsys):
     assert "SMALL_SET" in err
 
 
+@pytest.mark.parametrize("d, literal, want", [
+    # DISCRIMINANT, one past the certificate cap.
+    (65, "0,0;0,1;1,0;1,1;2,3", 3),
+    # Decided first: nothing to certify, however large d is.
+    (1002, "0,0;0,501;501,0;501,501", 5),
+    (100, "0,0;0,1", 5),
+])
+def test_verify_decides_before_its_certificate_cap(capsys, d, literal, want):
+    code, out, err = run_cli(capsys, "verify", "-d", str(d), "-s", literal)
+    assert (code, out) == (want, "")
+    assert err.count("\n") == 1
+    if want == 3:
+        assert err == "error: certificates are checked at 2 <= d <= 64 only, got 65\n"
+    else:
+        assert err.startswith("nothing to certify: verdict ")
+
+
 def test_tables_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "tables")
     assert code == 0

@@ -27,7 +27,7 @@ from gbslocc.decide import (
     slope_gap,
 )
 from gbslocc.equivalence import anchored_translate
-from gbslocc.gpm import INF, GbsSet, all_gpms
+from gbslocc.gpm import INF, GbsSet, all_gpms, index_set
 from gbslocc.modring import smallest_prime_factor
 from oracles import (
     brute_congruence_solutions,
@@ -331,14 +331,15 @@ def test_decide_memory_stays_linear_at_large_d(d, literal, verdict, witness):
 
 
 def test_decide_factors_the_modulus_once():
-    # is_prime and the slopes of the index cardinality ask about d once per
-    # difference, 780 times for a 40-set; d is factored only the first time.
+    # decide asks is_prime about d once, and index_set once per difference
+    # through gpm.slope, 780 times for a 40-set; d is factored only the
+    # first time.
     d = 10007
     rng = random.Random(9)
     S = GbsSet(d, tuple(sorted({(rng.randrange(d), rng.randrange(d)) for _ in range(40)})))
     assert len(S) == 40
     smallest_prime_factor.cache_clear()
-    decide(S)
+    assert decide(S).index_cardinality == len(index_set(S))
     assert smallest_prime_factor.cache_info().misses == 1
 
 

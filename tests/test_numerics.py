@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbslocc.decide import decide, discriminant_set
+from gbslocc.decide import SMALL_SET, decide, discriminant_set
 from gbslocc.gpm import GbsSet, all_gpms, difference_set, is_commutative, weyl_exponent
 from gbslocc.numerics import (
     VERIFY_TOL,
+    certify,
     commuting_witness,
     composite_witness,
     eigenvector,
@@ -53,7 +54,7 @@ def test_weyl_apply_is_unitary():
 
 
 def test_certificate_dimension_guard():
-    message = "dense matrices support 2 <= d <= 64, got 65"
+    message = "certificates are checked at 2 <= d <= 64 only, got 65"
     with pytest.raises(ValueError, match=message):
         eigenvector((0, 0), 65)
     with pytest.raises(ValueError):
@@ -216,6 +217,21 @@ def test_max_abs_expectation_reports_non_unit_vectors():
     assert max_abs_expectation(doubled, {(1, 0)}, 4) >= 1.0
     assert max_abs_expectation([0j] * 4, {(1, 0)}, 4) >= 1.0
     assert max_abs_expectation([0j] * 4, set(), 4) >= 1.0
+
+
+def test_certify_names_the_check_of_each_constructive_condition():
+    for S, check in ((L1, "one_way_gram"), (L2, "commuting_witness"),
+                     (L4, "composite_witness")):
+        name, deviation = certify(S, decide(S))
+        assert name == check
+        assert deviation < VERIFY_TOL
+    assert certify(L1, decide(L1))[1] == one_way_gram_check(L1, decide(L1).witness)
+    # SMALL_SET, COMPLETE_D4 and INCONCLUSIVE verdicts carry no certificate.
+    small = GbsSet(4, ((0, 0), (1, 0)))
+    assert decide(small).condition == SMALL_SET
+    for S in (small, GbsSet(4, ((0, 0), (0, 1), (1, 0), (1, 2))),
+              GbsSet(6, ((2, 3), (2, 0), (5, 3), (5, 0)))):
+        assert certify(S, decide(S)) is None
 
 
 def test_cli_import_adds_no_third_party_package():
