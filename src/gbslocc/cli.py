@@ -69,10 +69,6 @@ def render_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _pair_list(pairs):
-    return [[m, n] for m, n in sorted(pairs)]
-
-
 # The report of `check` is written as text directly, because json.dumps
 # with indent goes through the pure-Python encoder: at d = 6 that took
 # longer than deciding the sets.  _check_json(...) + "\n" is byte for byte
@@ -221,7 +217,7 @@ def _classify_inputs(args):
         sets = load_set_rows(args.reps_file, args.d)
         return sets, [catalog.set_label(S.elements) for S in sets]
     family = catalog.representatives(args.d, args.k)
-    return list(family.sets()), list(family.labels())
+    return family.sets(), family.labels()
 
 
 def _cmd_classify(args) -> int:
@@ -246,7 +242,7 @@ def _cmd_classify(args) -> int:
     verdicts = [decide(S) for S in sets]
     classes = [{
         "label": label,
-        "representative": [[m, n] for m, n in rep.representative],
+        "representative": rep.representative,
         "size": rep.size,
         "verdict": report.verdict,
         "mode": report.mode,
@@ -258,8 +254,10 @@ def _cmd_classify(args) -> int:
         "classes": classes,
         "total_standard": result.total_standard,
         "covered": result.covered,
-        "uncovered": [_pair_list(row) for row in result.uncovered],
+        "uncovered": result.uncovered,
     }
+    indist = [(label, rep) for label, rep, report in zip(labels, result.orbits, verdicts)
+              if report.verdict == INDISTINGUISHABLE]
 
     if args.golden:
         if (args.d, args.k) != (4, 4):
@@ -276,10 +274,7 @@ def _cmd_classify(args) -> int:
         if result.uncovered:
             mismatches.append(f"{len(result.uncovered)} standard sets uncovered")
         golden_rows = catalog.golden_indistinguishable().as_set()
-        emitted = frozenset(
-            row for rep, report in zip(result.orbits, verdicts)
-            if report.verdict == INDISTINGUISHABLE for row in rep.members
-        )
+        emitted = frozenset(row for _, rep in indist for row in rep.members)
         if emitted != golden_rows:
             mismatches.append(
                 f"indistinguishable members differ from the golden table "
@@ -292,15 +287,10 @@ def _cmd_classify(args) -> int:
         payload["golden"] = "match"
 
     if args.emit_indist:
-        groups = [
-            (c["label"], sorted(rep.members))
-            for c, rep, report in zip(classes, result.orbits, verdicts)
-            if report.verdict == INDISTINGUISHABLE
-        ]
+        groups = [(label, sorted(rep.members)) for label, rep in indist]
         if args.json:
             payload["indistinguishable_members"] = [
-                {"label": label, "members": [_pair_list(row) for row in rows]}
-                for label, rows in groups
+                {"label": label, "members": rows} for label, rows in groups
             ]
             sys.stdout.write(render_json(payload))
         else:
@@ -335,10 +325,10 @@ def _cmd_orbit(args) -> int:
     if args.json:
         payload = {
             "d": args.d,
-            "representative": _pair_list(report.representative),
+            "representative": report.representative,
             "size": report.size,
             "generation_certified": report.generation_certified,
-            "members": [_pair_list(row) for row in members],
+            "members": members,
         }
         sys.stdout.write(render_json(payload))
         return EXIT_OK
@@ -371,11 +361,11 @@ def _cmd_verify(args) -> int:
     certified = deviation < VERIFY_TOL
     payload = {
         "d": S.d,
-        "set": [[m, n] for m, n in S.elements],
+        "set": S.elements,
         "verdict": report.verdict,
         "mode": report.mode,
         "condition": report.condition,
-        "witness": list(report.witness) if report.witness else None,
+        "witness": report.witness,
         "check": check,
         "deviation": deviation,
         "tolerance": VERIFY_TOL,
@@ -400,7 +390,7 @@ def _cmd_tables(args) -> int:
             "entries": [
                 {
                     "label": e.label,
-                    "elements": [[m, n] for m, n in e.elements],
+                    "elements": e.elements,
                     "verdict": e.verdict,
                     "index_cardinality": e.index_cardinality,
                 }
@@ -413,7 +403,7 @@ def _cmd_tables(args) -> int:
         "families": families,
         "class_sizes": {
             "d": 4, "k": 4,
-            "entries": [[label, n] for label, n in sizes.entries],
+            "entries": sizes.entries,
             "total": sizes.total,
         },
         "indistinguishable_rows": {
@@ -446,12 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_set=True):
+    def add_common(p):
         p.add_argument("-d", type=int, required=True, metavar="DIM",
                        help="qudit dimension (modulus)")
-        if with_set:
-            p.add_argument("-s", "--set", metavar="LITERAL",
-                           help="set literal, e.g. '0,0;0,1;1,0;1,2'")
+        p.add_argument("-s", "--set", metavar="LITERAL",
+                       help="set literal, e.g. '0,0;0,1;1,0;1,2'")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p = sub.add_parser("check", help="decide distinguishability of a set")

@@ -148,13 +148,14 @@ def load_set_rows(path, d: int) -> tuple[GbsSet, ...]:
     """Read a file with one set literal per line; blank lines and '#'
     comments are skipped, and so is a leading byte-order mark.  Any bad
     line, or bytes that are not UTF-8, raise SetFormatError naming the path
-    (and the line)."""
+    (and the line).  read_text has turned '\\r\\n' and '\\r' into '\\n', so
+    lines end there only, not at the other breaks of str.splitlines."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SetFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -177,7 +178,7 @@ def difference_set(S: GbsSet) -> frozenset[Gpm]:
 
 def is_commutative(symbols, d: int) -> bool:
     """Whether the symbols pairwise commute."""
-    return all(commutes(a, b, d) for a, b in combinations(sorted(symbols), 2))
+    return all(commutes(a, b, d) for a, b in combinations(symbols, 2))
 
 
 def slope(g: Gpm, d: int):

@@ -164,7 +164,7 @@ def max_abs_expectation(vec, symbols, d: int) -> float:
     from a unit vector whose Weyl twirl separates the states."""
     _check_dim(d)
     return max([abs(sqrt(_inner(vec, vec).real) - 1)]
-               + [abs(_inner(vec, weyl_apply(g, vec, d))) for g in sorted(symbols)])
+               + [abs(_inner(vec, weyl_apply(g, vec, d))) for g in symbols])
 
 
 def certify(S: GbsSet, report):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -162,6 +163,22 @@ def test_check_batch_reports_line_numbers(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", "-d", "4", "--file", str(batch))
     assert code == 2
     assert ":2:" in err
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"0,0;0,1\xc2\x85\n1,1;x\n", 2),
+    (b"0,0;0,1\r1,1;x\r\n", 2),
+    ("0,0;0,1\u20280,0;1,1\n".encode(), 1),
+], ids=["nel", "cr", "line-separator"])
+def test_check_batch_breaks_lines_only_at_newlines(capsys, tmp_path, data, line):
+    # Lines end at \n, \r\n and \r only: a NEL ends no line, and a U+2028
+    # inside a line leaves one malformed set, not two sets.
+    batch = tmp_path / "sets.txt"
+    batch.write_bytes(data)
+    code, out, err = run_cli(capsys, "check", "-d", "4", "--file", str(batch))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {batch}:{line}: malformed element ")
+    assert err.count("\n") == 1
 
 
 def test_check_batch_rejects_non_utf8_file(capsys, tmp_path):
@@ -496,6 +513,37 @@ def test_tables_text_and_json(capsys):
     assert render_json(payload) == out
     assert payload["class_sizes"]["total"] == 455
     assert payload["indistinguishable_rows"]["I.X.Z.XZ2"] == 96
+
+
+# sha256 of stdout, recorded while the payloads still copied the package's
+# tuples into lists: json.dumps must write the tuples to the same bytes.
+# verify is left out: its deviation digits can vary with the platform's libm.
+PINNED_STDOUT = [
+    (("orbit", "-d", "24", "-s", "0,0;1,0;0,1;2,5"),
+     "28c558163f16ba4e18f70df483f26d7aa33dd42d28caf28ff69b43b629f67df5"),
+    (("orbit", "-d", "24", "-s", "0,0;1,0;0,1;2,5", "--json"),
+     "a24c56616538d6a386e1d8931a7b386d7c5402532934c44101f254d76d422541"),
+    (("classify", "-d", "4", "-k", "4", "--golden", "--json"),
+     "07aae9dfddd3ac192513a16ea2d674a26a6cd8d3a58961fc21312750e3e4a1fa"),
+    (("classify", "-d", "4", "-k", "4", "--emit-indist", "--json"),
+     "6f9b500ac9169c5eabf2eb0a28750dcea859d04d5fa68f0eb3253a534b080140"),
+    (("classify", "-d", "5", "-k", "5", "--json"),
+     "53d76e5702b0735629b9332dc25996f2fa88322ca4508b5eec1312a129142ba9"),
+    (("tables", "--json"),
+     "42f8658c76ee735d7a67935a755d91d4c35a704f1a19a696ebf203fc40dfc772"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=[" ".join(a) for a, _ in PINNED_STDOUT])
+def test_stdout_is_pinned(argv, digest):
+    # A subprocess, so the orbit's peak RSS stays out of this process.
+    out = subprocess.run(
+        [sys.executable, "-m", "gbslocc.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        check=True,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_output_is_deterministic(capsys):
