@@ -9,8 +9,8 @@ same line format the CLI accepts; tests regenerate them by orbit expansion
 and compare, the shipped bytes are never rewritten in place.
 """
 
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .decide import DISTINGUISHABLE, INDISTINGUISHABLE
 from .gpm import GbsSet, Gpm, format_gbs_set, load_set_rows
@@ -48,8 +48,7 @@ def set_label(elements) -> str:
     return ".".join(gpm_word(g) for g in elements)
 
 
-@dataclass(frozen=True)
-class RepEntry:
+class RepEntry(NamedTuple):
     label: str
     elements: tuple[Gpm, ...]
     verdict: str
@@ -59,8 +58,7 @@ class RepEntry:
         return GbsSet(d, self.elements)
 
 
-@dataclass(frozen=True)
-class RepresentativeFamily:
+class RepresentativeFamily(NamedTuple):
     d: int
     k: int
     entries: tuple[RepEntry, ...]
@@ -150,23 +148,18 @@ def representatives(d: int, k: int) -> RepresentativeFamily:
                          f"supported: {supported}") from None
 
 
-@dataclass(frozen=True)
-class ClassSizeTable:
+class ClassSizeTable(NamedTuple):
     entries: tuple[tuple[str, int], ...]
-    total: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "total", sum(n for _, n in self.entries))
+    total: int
 
 
 def golden_class_sizes() -> ClassSizeTable:
     """Expected orbit sizes of the ten classes at (d, k) = (4, 4)."""
     labels = [e.label for e in _D4_K4]
-    return ClassSizeTable(tuple(zip(labels, _D4_K4_SIZES)))
+    return ClassSizeTable(tuple(zip(labels, _D4_K4_SIZES)), sum(_D4_K4_SIZES))
 
 
-@dataclass(frozen=True)
-class IndistTable:
+class IndistTable(NamedTuple):
     groups: tuple[tuple[str, tuple[tuple[Gpm, ...], ...]], ...]
 
     def rows(self) -> tuple[tuple[Gpm, ...], ...]:

@@ -381,44 +381,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    families = []
-    for (d, k) in ((4, 4), (5, 4), (5, 5)):
-        family = catalog.representatives(d, k)
-        families.append({
-            "d": d,
-            "k": k,
-            "entries": [
-                {
-                    "label": e.label,
-                    "elements": e.elements,
-                    "verdict": e.verdict,
-                    "index_cardinality": e.index_cardinality,
-                }
-                for e in family.entries
-            ],
-        })
+    families = [catalog.representatives(d, k) for d, k in ((4, 4), (5, 4), (5, 5))]
     sizes = catalog.golden_class_sizes()
     indist = catalog.golden_indistinguishable()
-    payload = {
-        "families": families,
-        "class_sizes": {
-            "d": 4, "k": 4,
-            "entries": sizes.entries,
-            "total": sizes.total,
-        },
-        "indistinguishable_rows": {
-            label: len(rows) for label, rows in indist.groups
-        },
-    }
     if args.json:
-        sys.stdout.write(render_json(payload))
+        sys.stdout.write(render_json({
+            "families": [{**f._asdict(), "entries": [e._asdict() for e in f.entries]}
+                         for f in families],
+            "class_sizes": {"d": 4, "k": 4, **sizes._asdict()},
+            "indistinguishable_rows": {label: len(rows) for label, rows in indist.groups},
+        }))
         return EXIT_OK
-    for fam in families:
-        print(f"representatives d = {fam['d']}, k = {fam['k']}")
-        for e in fam["entries"]:
-            card = "" if e["index_cardinality"] is None else \
-                f"  index cardinality {e['index_cardinality']}"
-            print(f"  {e['label']:<18} {e['verdict']}{card}")
+    for family in families:
+        print(f"representatives d = {family.d}, k = {family.k}")
+        for e in family.entries:
+            card = "" if e.index_cardinality is None else \
+                f"  index cardinality {e.index_cardinality}"
+            print(f"  {e.label:<18} {e.verdict}{card}")
     print("class sizes (d = 4, k = 4)")
     for label, n in sizes.entries:
         print(f"  {label:<18} {n}")

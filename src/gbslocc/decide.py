@@ -21,10 +21,10 @@ condition family is known to be exhaustive, so a fully negative outcome
 there is a proof of indistinguishability rather than an unknown.
 """
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .gpm import INF, GbsSet, Gpm, is_commutative
 from .modring import is_prime, set_bits, smallest_prime_factor, weyl_rows
@@ -71,8 +71,7 @@ COMPLETE_D4 = "COMPLETE_D4"      # all conditions failed; family exhaustive at (
 COMPLETE_D5 = "COMPLETE_D5"      # all conditions failed; family exhaustive at d = 5
 
 
-@dataclass(frozen=True)
-class SlopeGap:
+class SlopeGap(NamedTuple):
     """Measurement-parameter bookkeeping for the standard one-way protocol.
 
     Alice's projective measurement is indexed by y in Z_d plus INF.  A pair
@@ -89,8 +88,7 @@ class SlopeGap:
     gap: frozenset
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(NamedTuple):
     verdict: str
     mode: str
     condition: str | None = None

@@ -12,9 +12,9 @@ other inputs it may undergenerate, which classify() surfaces honestly
 through its coverage count instead of hiding.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
+from typing import NamedTuple
 
 from .clifford import enumerate_symplectic
 from .gpm import GbsSet, Gpm, all_gpms
@@ -47,8 +47,7 @@ def _generation_certified(S: GbsSet) -> bool:
     return has_shift and has_clock
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     representative: CanonicalSet
     members: frozenset[CanonicalSet]
     size: int
@@ -73,8 +72,7 @@ def orbit(N: GbsSet) -> OrbitReport:
     return OrbitReport(rep, frozenset(members), len(members), _generation_certified(N))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     d: int
     k: int
     orbits: tuple[OrbitReport, ...]

@@ -15,7 +15,6 @@ nonzero symbols organize into d + 1 lines through the origin indexed by the
 projective slope m^{-1} n (INF on the clock axis m = 0).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import index
@@ -64,40 +63,61 @@ def all_gpms(d: int) -> frozenset[Gpm]:
     return frozenset((m, n) for m in range(d) for n in range(d))
 
 
-@dataclass(frozen=True)
 class GbsSet:
     """Ordered, duplicate-free set of symbols over one modulus.
 
     Input order is preserved for reporting; comparisons that care about set
     identity should go through the canonical sorted form (see equivalence).
+    An immutable value: equal and hashed by (d, elements).
     """
 
-    d: int
-    elements: tuple[Gpm, ...]
+    __slots__ = ("d", "elements")
 
-    def __post_init__(self):
+    def __init__(self, d: int, elements: tuple[Gpm, ...]):
         # operator.index takes every integer type and refuses the floats
         # and strings that int() would truncate or parse.
         try:
-            d = index(self.d)
-            elems = tuple((index(m), index(n)) for m, n in self.elements)
+            modulus = index(d)
+            elems = tuple((index(m), index(n)) for m, n in elements)
         except TypeError:
-            raise SetFormatError(f"modulus and coordinates must be integers in {self}") from None
-        if d < 2:
-            raise SetFormatError(f"modulus must be >= 2, got {d}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "elements", elems)
+            raise SetFormatError("modulus and coordinates must be integers in "
+                                 f"GbsSet(d={d!r}, elements={elements!r})") from None
+        if modulus < 2:
+            raise SetFormatError(f"modulus must be >= 2, got {modulus}")
         if not elems:
             raise SetFormatError("a GBS set needs at least one element")
         seen = set()
         for m, n in elems:
-            if not (0 <= m < self.d and 0 <= n < self.d):
+            if not (0 <= m < modulus and 0 <= n < modulus):
                 raise SetFormatError(
-                    f"coordinate out of range in ({m},{n}): must lie in [0, {self.d})"
+                    f"coordinate out of range in ({m},{n}): must lie in [0, {modulus})"
                 )
             if (m, n) in seen:
                 raise SetFormatError(f"duplicate element ({m},{n})")
             seen.add((m, n))
+        # The one write of each slot; __setattr__ refuses every other.
+        object.__setattr__(self, "d", modulus)
+        object.__setattr__(self, "elements", elems)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"GbsSet(d={self.d!r}, elements={self.elements!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.elements) == (other.d, other.elements)
+
+    def __hash__(self):
+        return hash((self.d, self.elements))
+
+    def __reduce__(self):
+        return GbsSet, (self.d, self.elements)
 
     @classmethod
     def parse(cls, text: str, d: int) -> "GbsSet":

@@ -69,8 +69,10 @@ def solve_weyl_congruence(m: int, n: int, d: int) -> frozenset[tuple[int, int]]:
     )
 
 
-# Cached: gpm.slope asks is_prime about the same modulus once per
-# difference, and trial division costs O(sqrt(d)).
+# Cached, because trial division costs O(sqrt(d)) and callers repeat the
+# modulus: decide asks is_prime(d) once per set, so a `check --file` batch
+# asks about one modulus thousands of times, and gpm.slope asks once per
+# difference.
 @lru_cache(maxsize=64)
 def smallest_prime_factor(d: int) -> int:
     if d < 2:

@@ -288,6 +288,22 @@ def test_exact_subcommands_do_not_import_numpy():
     assert out.strip() == "False"
 
 
+def test_cli_import_leaves_out_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, about 11 ms of
+    # every fresh process.  This process has it already, through
+    # worked_examples, so a new interpreter is asked; -S keeps the .pth
+    # hooks of site-packages out of what is counted.
+    probe = "import sys, gbslocc.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
 NUMPY_FREE_ARGVS = (
     ["check", "-d", "6", "-s", "0,0;0,1;1,0;1,4;5,5"],
     ["classify", "-d", "4", "-k", "4", "--golden"],

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations, product
 
 import pytest
@@ -119,6 +121,28 @@ def test_set_construction_accepts_numpy_integers():
     S = GbsSet(np.int64(5), ((np.int32(1), np.int64(2)), (0, 0)))
     assert S == GbsSet(5, ((1, 2), (0, 0)))
     assert type(S.d) is int and all(type(c) is int for g in S.elements for c in g)
+
+
+def test_set_is_an_immutable_value():
+    S = GbsSet(4, ((0, 0), (1, 2)))
+    with pytest.raises(AttributeError):
+        S.d = 5
+    with pytest.raises(AttributeError):
+        S.elements = ((0, 0),)
+    with pytest.raises(AttributeError):
+        del S.d
+    assert (S.d, S.elements) == (4, ((0, 0), (1, 2)))
+    T = GbsSet(4, [(0, 0), (1, 2)])
+    assert S == T and hash(S) == hash(T)
+    assert S != GbsSet(4, ((1, 2), (0, 0))) and S != GbsSet(5, ((0, 0), (1, 2)))
+    assert S != (4, ((0, 0), (1, 2)))
+    assert repr(S) == repr(T) == "GbsSet(d=4, elements=((0, 0), (1, 2)))"
+    assert pickle.loads(pickle.dumps(S)) == copy.copy(S) == S
+    with pytest.raises(SetFormatError) as exc:
+        GbsSet(4, ((0, 1.5),))
+    assert str(exc.value) == (
+        "modulus and coordinates must be integers in GbsSet(d=4, elements=((0, 1.5),))"
+    )
 
 
 def test_difference_set_known_values():
