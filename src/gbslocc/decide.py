@@ -6,13 +6,13 @@ negative commute with the same symbols, so the list decide builds once
 serves every rule.  A discriminant symbol T commuting with nothing in
 Delta(S) turns the eigenbasis of its matrix into a perfect one-way
 protocol.  The reported witness is the lexicographically least such T,
-found by scanning rows x = 0, 1, ... of Z_d x Z_d and stopping at the first
-free y: each row is one bitmask of d bits, the OR of the rows that
-modring.weyl_rows gives for the differences, and the slope gap is row d - 1
-of the same scan.  At prime d the rows also carry each difference's slope,
-whose distinct values the index cardinality counts.  The discriminant set
-itself can have about d^2 members; decide never builds it, and its memory
-stays linear in d.  A fully commutative Delta(S) admits a common
+found by scanning row x = 0 and then the rows x that divide d, ascending,
+and stopping at the first free y: each row is one bitmask of d bits, the OR
+of the rows that modring.weyl_rows gives for the differences, and the slope
+gap is row d - 1 of the same rows.  At prime d the rows also carry each
+difference's slope, whose distinct values the index cardinality counts.
+The discriminant set itself can have about d^2 members; decide never builds
+it, and its memory stays linear in d.  A fully commutative Delta(S) admits a common
 eigenvector witness; and for composite d a difference set whose members
 each carry an invertible coordinate admits a shared eigenstate of a factor
 pair of shift/clock powers.  Those three sufficient conditions are checked
@@ -21,7 +21,7 @@ condition family is known to be exhaustive, so a fully negative outcome
 there is a proof of indistinguishability rather than an unknown.
 """
 
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -128,15 +128,41 @@ def _row_cover(rows, x: int) -> int:
     return covered
 
 
-def _free_symbols(rows, d: int):
-    """Yield the symbols commuting with no difference, in lexicographic order."""
+def _free_symbols(rows, d: int, xs=None):
+    """Yield the symbols of rows xs (default all d) commuting with no difference.
+
+    They come row by row in the order of xs, and ascending in y within a row.
+    """
     full = (1 << d) - 1
-    for x in range(d):
+    for x in range(d) if xs is None else xs:
         free = full ^ _row_cover(rows, x)
         while free:
             low = free & -free
             yield x, low.bit_length() - 1
             free ^= low
+
+
+@lru_cache(maxsize=64)
+def _witness_rows(d: int) -> tuple[int, ...]:
+    """Row 0, then the proper divisors of d ascending: the rows decide scans.
+
+    Scaling a symbol by a unit u scales its commutation form with every
+    difference by u, so (x, y) is free exactly when (ux, uy) is, and some
+    unit takes x to gcd(x, d).  The least row holding a free symbol is
+    therefore one of these, and a set without a witness costs one row per
+    divisor, not d rows.  The divisors come from trial division up to
+    sqrt(d).
+    """
+    low, high = [0], []
+    a = 1
+    while a * a <= d:
+        if d % a == 0:
+            low.append(a)
+            if a * a != d:
+                high.append(d // a)
+        a += 1
+    # high descends from d itself, which is row 0 again.
+    return (*low, *reversed(high[1:]))
 
 
 def _invertible(diffs: list[Gpm], d: int) -> bool:
@@ -148,9 +174,9 @@ def discriminant_set(S: GbsSet) -> frozenset[Gpm]:
 
     Rows x = 0, ..., d - 1 are scanned in turn: the symbols of row x that
     commute with some difference are ORed into one d-bit mask, and its clear
-    bits are the members of that row.  decide runs the same scan and stops
-    at the first member, its witness; the whole set can hold about d^2
-    symbols, and decide never builds it.
+    bits are the members of that row.  decide's witness is the first member;
+    it lies in row 0 or in a row dividing d, and decide reads only those.
+    The whole set can hold about d^2 symbols, and decide never builds it.
     """
     return frozenset(_free_symbols(_pair_rows(S, "discriminant set")[1], S.d))
 
@@ -230,7 +256,7 @@ def _ladder(S: GbsSet, diffs: list[Gpm], rows) -> DecisionReport:
     if size >= d + 1:
         return report(INDISTINGUISHABLE, FULL_LOCC, TOO_MANY)
 
-    witness = next(_free_symbols(rows, d), None)
+    witness = next(_free_symbols(rows, d, _witness_rows(d)), None)
     if witness is not None:
         return report(DISTINGUISHABLE, ONE_WAY, DISCRIMINANT, witness=witness)
     if is_commutative(diffs, d):
