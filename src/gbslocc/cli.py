@@ -22,7 +22,7 @@ from math import comb
 
 from . import catalog
 from .clifford import symplectic_order
-from .decide import INDISTINGUISHABLE, decide, decide_with_gap
+from .decide import INDISTINGUISHABLE, SMALL_D, LazyTable, decide, decide_with_gap
 from .equivalence import classify, orbit
 from .gpm import GbsSet, SetFormatError, format_gbs_set, load_set_rows
 from .modring import set_bits
@@ -90,7 +90,8 @@ def render_json(payload) -> str:
 #
 # one member row at a time.  Keys are written in sorted order, and every
 # (m, n) pair, a set element, a witness or a member's element, is text
-# from _json_pairs.
+# from _json_pairs; set elements and members at d <= SMALL_D come from
+# the table of _pair_text.
 
 def _json_scalar(value) -> str:
     if value is None:
@@ -111,15 +112,27 @@ def _json_pairs(pairs, pad: str) -> list[str]:
     return [f"[\n{inner}{m},\n{inner}{n}\n{pad}]" for m, n in pairs]
 
 
-def _gap_parameters(d: int, covered: int, inf: bool, inf_text: str):
-    """The excluded and the open parameters of decide_with_gap's row, as text."""
-    excluded = [*map(str, set_bits(covered)), *([inf_text] if inf else [])]
-    gap = [*map(str, set_bits(covered ^ ((1 << d) - 1))), *([] if inf else [inf_text])]
-    return excluded, gap
+@lru_cache(maxsize=None)
+def _pair_text(pad: str):
+    """The text of (m, n) at indent pad, from one table per pad.
+
+    Only pairs of moduli up to SMALL_D are looked up.  The table fills as
+    pairs are met, because a single `check` at d = 256 would spend 44 ms on
+    all 65,536 of them.  A batch or an orbit repeats the few pairs of its
+    modulus: at d = 24 the table renders an orbit's 147,456 elements in
+    about half the time of one f-string per element.
+    """
+    return LazyTable(lambda pair: _json_pairs([pair], pad)[0]).__getitem__
+
+
+def _open_parameters(d: int, covered: int, inf: bool, inf_text: str) -> list[str]:
+    """The parameters that decide_with_gap's row leaves open, as text."""
+    return [*map(str, set_bits(covered ^ ((1 << d) - 1))), *([] if inf else [inf_text])]
 
 
 def _slope_gap_json(d: int, covered: int, inf: bool, pad: str) -> str:
-    excluded, gap = _gap_parameters(d, covered, inf, '"inf"')
+    excluded = [*map(str, set_bits(covered)), *(['"inf"'] if inf else [])]
+    gap = _open_parameters(d, covered, inf, '"inf"')
     admissible = [*map(str, range(d)), '"inf"']
     inner = pad + "  "
     return (f'{{\n{inner}"admissible": {_json_list(admissible, inner)},\n'
@@ -127,26 +140,28 @@ def _slope_gap_json(d: int, covered: int, inf: bool, pad: str) -> str:
             f'{inner}"gap": {_json_list(gap, inner)}\n{pad}}}')
 
 
-# A batch at small d repeats a few rows: the 52,360 standard 5-sets at
-# d = 6 have 80.  An entry holds O(d) text, so larger moduli are not cached.
-_CACHED_GAP_D = 256
+# Used at d <= SMALL_D, where a batch repeats a few rows: the 52,360
+# standard 5-sets at d = 6 have 80.
 _cached_slope_gap_json = lru_cache(maxsize=256)(_slope_gap_json)
 
 
 def _check_json(S: GbsSet, report, gap_row, pad: str = "") -> str:
     """The JSON report of `check` for S, from decide_with_gap(S)."""
     p1 = pad + "  "
-    witness = _json_pairs([report.witness], p1)[0] if report.witness else "null"
-    if gap_row is None:
-        gap = "null"
+    if S.d <= SMALL_D:
+        elements = [*map(_pair_text(p1 + "  "), S.elements)]
+        witness = _pair_text(p1)(report.witness) if report.witness else "null"
+        gap_json = _cached_slope_gap_json
     else:
-        gap_json = _cached_slope_gap_json if S.d <= _CACHED_GAP_D else _slope_gap_json
-        gap = gap_json(S.d, *gap_row, p1)
+        elements = _json_pairs(S.elements, p1 + "  ")
+        witness = _json_pairs([report.witness], p1)[0] if report.witness else "null"
+        gap_json = _slope_gap_json
+    gap = "null" if gap_row is None else gap_json(S.d, *gap_row, p1)
     return (f'{{\n{p1}"condition": {_json_scalar(report.condition)},\n'
             f'{p1}"d": {S.d},\n'
             f'{p1}"index_cardinality": {_json_scalar(report.index_cardinality)},\n'
             f'{p1}"mode": {_json_scalar(report.mode)},\n'
-            f'{p1}"set": {_json_list(_json_pairs(S.elements, p1 + "  "), p1)},\n'
+            f'{p1}"set": {_json_list(elements, p1)},\n'
             f'{p1}"slope_gap": {gap},\n'
             f'{p1}"verdict": {_json_scalar(report.verdict)},\n'
             f'{p1}"witness": {witness}\n{pad}}}')
@@ -166,9 +181,12 @@ def _check_lines(S: GbsSet, report, gap_row) -> list[str]:
     if report.index_cardinality is not None:
         lines.append(f"index cardinality: {report.index_cardinality}")
     if gap_row is not None:
-        _, gap = _gap_parameters(S.d, *gap_row, "inf")
+        # Only the open parameters become text: at d = 2**22 the excluded
+        # ones can be all 4,194,304, which as text would take about 400 MB.
+        covered, inf = gap_row
+        gap = _open_parameters(S.d, covered, inf, "inf")
         lines.append(
-            f"slope gap: {len(gap)} of {S.d + 1} "
+            f"slope gap: {S.d + 1 - covered.bit_count() - inf} of {S.d + 1} "
             f"parameters open ({','.join(gap) or 'none'})"
         )
     return lines
@@ -327,13 +345,10 @@ def _cmd_classify(args) -> int:
 def _write_orbit_json(out, d: int, report, members) -> None:
     """Write render_json of the orbit payload to out, one member row at a time.
 
-    The text of every pair of Z_d x Z_d at the members' indent is made once:
-    at d = 24 that renders the 147,456 elements in about half the time of
-    one f-string per element.  members is the sorted, nonempty list of
-    report.members.
+    members is the sorted, nonempty list of report.members, and d is at
+    most MAX_ORBIT_D, below SMALL_D.
     """
-    pairs = [(m, n) for m in range(d) for n in range(d)]
-    pair_text = dict(zip(pairs, _json_pairs(pairs, "      "))).__getitem__
+    pair_text = _pair_text("      ")
     certified = "true" if report.generation_certified else "false"
     out.write(f'{{\n  "d": {d},\n  "generation_certified": {certified},\n  "members": ')
     separator = "[\n    "

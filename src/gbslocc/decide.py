@@ -11,6 +11,9 @@ and stopping at the first free y: each row is one bitmask of d bits, the OR
 of the rows that modring.weyl_rows gives for the differences, and the slope
 gap is row d - 1 of the same rows.  At prime d the rows also carry each
 difference's slope, whose distinct values the index cardinality counts.
+For d <= SMALL_D those rows are read from one cached cover per difference
+symbol, which packs all of them into one int, so a set is scanned with one
+OR per difference; above it they are built and scanned lazily.
 The discriminant set itself can have about d^2 members; decide never builds
 it, and its memory stays linear in d.  A fully commutative Delta(S) admits a common
 eigenvector witness; and for composite d a difference set whose members
@@ -224,31 +227,131 @@ def decide(S: GbsSet) -> DecisionReport:
     exhaustiveness results for (4, 4) and d = 5.  Anything else is
     INCONCLUSIVE: the conditions are only sufficient in general.
     """
-    return _ladder(S, *_pair_rows(S))
+    return _ladder(S, *_scan(S)[:2])
 
 
 def decide_with_gap(S: GbsSet) -> tuple[DecisionReport, tuple[int, bool] | None]:
-    """decide(S) and the slope gap's row, read from one list of Weyl rows.
+    """decide(S) and the slope gap's row, read from one scan of the differences.
 
     The row is (covered, inf): the finite parameters that some pair
     excludes, as a d-bit mask, and whether a pair excludes INF.  It is None
     for a singleton, which has no slope gap.  slope_gap(S) holds the same
     parameters as frozensets.
     """
-    diffs, rows = _pair_rows(S)
-    return _ladder(S, diffs, rows), _gap_row(rows, S.d) if rows else None
+    idx, witness, gap_row = _scan(S)
+    return _ladder(S, idx, witness), gap_row() if len(S.elements) > 1 else None
 
 
-def _ladder(S: GbsSet, diffs: list[Gpm], rows) -> DecisionReport:
-    """The rules of decide, on the pair differences of S and their Weyl rows.
+# The largest modulus whose per-symbol rows and text are cached: the
+# covers here, and the slope-gap and pair texts of cli.  A batch at small d
+# repeats a few symbols (the 52,360 standard 5-sets at d = 6 have 35
+# differences and 80 slope-gap rows), and an entry holds O(d) bits or text.
+SMALL_D = 256
 
-    At prime d a difference (m, n) has rows of period q = d and step
-    n * m^-1, its slope, when m != 0, and period q = 1 when m = 0, the slope
-    INF; the index cardinality counts the distinct slopes.
+
+def _cover(m: int, n: int, d: int) -> tuple[int, bool, object]:
+    """The rows of the difference (m, n) that decide reads, at d <= SMALL_D.
+
+    The int packs them at d bits a segment: segment i holds the symbols of
+    row _witness_rows(d)[i] that commute with (m, n), and one last segment
+    those of the slope-gap row d - 1.  The flag says whether the difference
+    excludes INF (period q = 1, that is m = 0), and the slope is its step,
+    or INF when q = 1.  At d = 240, whose 20 witness rows are the most below
+    the bound, the int has 21 x 240 bits.
     """
-    d, size = S.d, len(S)
-    prime = is_prime(d)
-    idx = len({step if q > 1 else INF for _, _, step, q in rows}) if rows and prime else None
+    rows = [weyl_rows(m, n, d)]
+    packed = 0
+    for i, x in enumerate((*_witness_rows(d), d - 1)):
+        packed |= _row_cover(rows, x) << i * d
+    step, q = rows[0][2:]
+    return packed, q == 1, INF if q == 1 else step
+
+
+class LazyTable(dict):
+    """make(key) for each key looked up, made on first use and kept.
+
+    The per-symbol caches below SMALL_D: the covers here and the pair texts
+    of cli.  A table is emptied when it reaches 4096 entries, because a
+    batch repeats a few symbols and a full table of covers at d = 240
+    would hold 36 MB.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        if len(self) >= 4096:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
+
+
+@lru_cache(maxsize=4)
+def _covers(d: int) -> LazyTable:
+    """_cover(m, n, d) for one modulus, keyed m * d + n.
+
+    An int key is looked up in under half the time of an lru_cache on
+    (m, n, d).
+    """
+    return LazyTable(lambda key: _cover(*divmod(key, d), d))
+
+
+def _packed_witness(covered: int, d: int) -> Gpm | None:
+    """The least free symbol of an OR of covers: its lowest clear bit below the gap segment.
+
+    The segments are in the order _free_symbols scans the rows, so this is
+    the symbol that scan yields first.
+    """
+    xs = _witness_rows(d)
+    free = ~covered & ((1 << len(xs) * d) - 1)
+    if not free:
+        return None
+    i, y = divmod((free & -free).bit_length() - 1, d)
+    return xs[i], y
+
+
+def _scan(S: GbsSet):
+    """The index cardinality of S and two thunks: its DISCRIMINANT witness
+    and its slope gap's row, as decide_with_gap returns it.
+
+    At d <= SMALL_D the covers of the pair differences are ORed once, and
+    both thunks read that int.  Above it each difference has its Weyl rows,
+    and a thunk scans them only when called: the witness rows after the
+    size rules, and row d - 1 only for decide_with_gap.  At prime d a
+    difference (m, n) has rows of period q = d and step n * m^-1, its
+    slope, when m != 0, and period q = 1 when m = 0, the slope INF; the
+    index cardinality counts the distinct slopes.
+    """
+    d = S.d
+    if d > SMALL_D:
+        rows = [weyl_rows(m, n, d) for m, n in _differences(S)]
+        slopes = {step if q > 1 else INF for _, _, step, q in rows}
+        idx = len(slopes) if rows and is_prime(d) else None
+        return (idx, lambda: next(_free_symbols(rows, d, _witness_rows(d)), None),
+                lambda: _gap_row(rows, d))
+    table = _covers(d)
+    covers = [table[(mi - mj) % d * d + (ni - nj) % d]
+              for (mi, ni), (mj, nj) in combinations(S.elements, 2)]
+    covered, inf = 0, False
+    for packed, excludes_inf, _ in covers:
+        covered |= packed
+        inf |= excludes_inf
+    idx = len({slope for _, _, slope in covers}) if covers and is_prime(d) else None
+    return (idx, lambda: _packed_witness(covered, d),
+            lambda: (covered >> len(_witness_rows(d)) * d, inf))
+
+
+def _ladder(S: GbsSet, idx: int | None, witness) -> DecisionReport:
+    """The rules of decide, on S, its index cardinality and the thunk of its
+    DISCRIMINANT witness, from _scan.
+
+    Only the rules past the witness read the pair differences, so they are
+    formed again there: at most k(k - 1)/2 pairs, against the rows' O(d).
+    """
+    d, size = S.d, len(S.elements)
     report = partial(DecisionReport, index_cardinality=idx)
 
     if size <= 3 and (size <= 2 or d >= 3):
@@ -256,12 +359,13 @@ def _ladder(S: GbsSet, diffs: list[Gpm], rows) -> DecisionReport:
     if size >= d + 1:
         return report(INDISTINGUISHABLE, FULL_LOCC, TOO_MANY)
 
-    witness = next(_free_symbols(rows, d, _witness_rows(d)), None)
+    witness = witness()
     if witness is not None:
         return report(DISTINGUISHABLE, ONE_WAY, DISCRIMINANT, witness=witness)
+    diffs = _differences(S)
     if is_commutative(diffs, d):
         return report(DISTINGUISHABLE, ONE_WAY, COMMUTATIVE)
-    if not prime and _invertible(diffs, d):
+    if not is_prime(d) and _invertible(diffs, d):
         s = smallest_prime_factor(d)
         return report(DISTINGUISHABLE, ONE_WAY, INVERTIBLE, witness=(s, d // s))
 

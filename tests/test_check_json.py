@@ -1,6 +1,6 @@
 """The report of `check --json` is written directly, not through json.dumps;
 these tests hold it to the bytes of render_json, and pin the batch output
-at d = 5, with and without --json."""
+at d = 5, with and without --json, and at d = 6 with --json."""
 
 import contextlib
 import hashlib
@@ -119,13 +119,13 @@ def test_check_json_bytes_equal_render_json(batch):
     assert json.loads(out) == [reference_payload(S) for S in sets]
 
 
-def standard_5_set_digest(tmp_path, *flags):
-    """sha256 of `check -d 5 --file` on all standard 5-sets at d = 5.
+def standard_5_set_digest(tmp_path, *flags, d=5):
+    """sha256 of `check -d d --file` on all standard 5-sets at d.
 
     The report (10 MB with --json) is written and hashed outside this
     process, whose peak RSS the memory probes of later tests inherit.
     """
-    nonzero = [(m, n) for m in range(5) for n in range(5)][1:]
+    nonzero = [(m, n) for m in range(d) for n in range(d)][1:]
     batch = tmp_path / "sets.txt"
     batch.write_text(
         "".join(format_gbs_set(((0, 0),) + rest) + "\n" for rest in combinations(nonzero, 4)),
@@ -134,7 +134,7 @@ def standard_5_set_digest(tmp_path, *flags):
     report = tmp_path / "report"
     with open(report, "wb") as out:
         subprocess.run(
-            [sys.executable, "-m", "gbslocc.cli", "check", "-d", "5", "--file", batch, *flags],
+            [sys.executable, "-m", "gbslocc.cli", "check", "-d", str(d), "--file", batch, *flags],
             env={**os.environ, "PYTHONPATH": str(SRC)},
             stdout=out,
             check=True,
@@ -158,3 +158,11 @@ def test_all_standard_5_sets_at_d5_text_is_pinned(tmp_path):
     # decide_with_gap(); both run one ladder, so each path is pinned.
     assert standard_5_set_digest(tmp_path) == (
         "fed79d9db104a45e7e42ff0ce8d7360526e8ae6a46a66abcf402c503439cbd75")
+
+
+def test_all_standard_5_sets_at_d6_are_pinned(tmp_path):
+    # At prime d the witness rows are 0 and 1; the 52,360 sets at d = 6 also
+    # read the divisor rows 2 and 3.  The digest of the output before the
+    # witness was read from cached covers.
+    assert standard_5_set_digest(tmp_path, "--json", d=6) == (
+        "263f298e7be451f47988dc30187422e6a401e6db544c821c1599fb70adb8b56a")

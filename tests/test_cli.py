@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import combinations, islice
 from pathlib import Path
 
@@ -29,6 +30,23 @@ def test_check_text_output(capsys):
     assert "verdict: DISTINGUISHABLE" in out
     assert "condition: DISCRIMINANT" in out
     assert "witness: (2,3)" in out
+
+
+def test_check_text_lists_only_the_open_slope_gap(capsys):
+    # The half-period grid at the cap excludes all 4,194,305 parameters.
+    # Text `check` counts them from the mask and lists only the open ones;
+    # making text of the excluded ones too would peak near 400 MB.
+    t = 2 ** 21
+    tracemalloc.start()
+    try:
+        code = main(["check", "-d", str(2 * t), "-s", f"0,0;0,{t};{t},0;{t},{t}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith("slope gap: 0 of 4194305 parameters open (none)\n")
+    assert peak < 32 * 2**20
 
 
 def test_check_json_round_trips_byte_identical(capsys):

@@ -1,6 +1,8 @@
+import importlib
 import random
 import time
 import tracemalloc
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -25,6 +27,7 @@ from gbslocc.decide import (
     condition_commutative,
     condition_invertible,
     decide,
+    decide_with_gap,
     discriminant_set,
     slope_gap,
 )
@@ -359,10 +362,16 @@ def test_decide_on_a_random_set_near_the_check_cap_is_fast():
     assert report.condition == DISCRIMINANT and report.witness == (0, 1)
 
 
-def test_divisor_rows_find_the_full_scans_first_symbol():
-    # Every standard set of size 2-4 at d = 2..12, 1,093,158 sets.  Both
-    # scans read only the Weyl rows and d, so a set whose rows were already
-    # compared is not scanned again.
+@lru_cache(maxsize=1)
+def _small_standard_sets():
+    """Every standard set of size 2-4 at d = 2..12, one per size and set of Weyl rows.
+
+    Of the 1,093,158 sets, 47,986 remain.  decide reads only the size, d
+    and the differences' rows: two differences with equal rows generate
+    the same cyclic subgroup, so they agree on commutation and on
+    invertible coordinates.  Each set comes with its list of rows.
+    """
+    found = []
     for d in range(2, 13):
         symbols = [(m, n) for m in range(d) for n in range(d)]
         rows_of = {(m, n): weyl_rows(m, n, d) for m, n in symbols}
@@ -372,11 +381,17 @@ def test_divisor_rows_find_the_full_scans_first_symbol():
                 elements = ((0, 0),) + rest
                 rows = [rows_of[(mi - mj) % d, (ni - nj) % d]
                         for (mi, ni), (mj, nj) in combinations(elements, 2)]
-                key = frozenset(rows)
+                key = size, frozenset(rows)
                 if key not in seen:
                     seen.add(key)
-                    witness = next(_free_symbols(rows, d, _witness_rows(d)), None)
-                    assert witness == next(_free_symbols(rows, d), None), elements
+                    found.append((GbsSet(d, elements), rows))
+    return found
+
+
+def test_divisor_rows_find_the_full_scans_first_symbol():
+    for S, rows in _small_standard_sets():
+        witness = next(_free_symbols(rows, S.d, _witness_rows(S.d)), None)
+        assert witness == next(_free_symbols(rows, S.d), None), S
 
 
 def test_decide_without_a_witness_near_the_check_cap_is_fast():
@@ -389,3 +404,47 @@ def test_decide_without_a_witness_near_the_check_cap_is_fast():
     assert time.perf_counter() - start < 5.0
     assert (report.verdict, report.condition, report.witness) == (
         DISTINGUISHABLE, COMMUTATIVE, None)
+
+
+def _decided_both_ways(monkeypatch, sets):
+    """decide_with_gap of each set read from the cover table, and from the row scan.
+
+    The bound is moved past every modulus for the first and below every
+    one for the second, so both paths run at any d.
+    """
+    module = importlib.import_module("gbslocc.decide")
+    paths = []
+    for bound in (max(S.d for S in sets), 1):
+        monkeypatch.setattr(module, "SMALL_D", bound)
+        paths.append([decide_with_gap(S) for S in sets])
+    return paths
+
+
+def test_cover_table_matches_the_row_scan_on_every_small_standard_set(monkeypatch):
+    # The whole report and the slope gap's (covered, inf).
+    sets = [S for S, _ in _small_standard_sets()]
+    table, rows = _decided_both_ways(monkeypatch, sets)
+    for S, got, want in zip(sets, table, rows):
+        assert got == want, S
+    assert {report.condition for report, _ in table} >= {
+        SMALL_SET, TOO_MANY, DISCRIMINANT, COMMUTATIVE, INVERTIBLE, COMPLETE_D4, None}
+
+
+@pytest.mark.parametrize("d", [16, 30, 64, 210, 240, 256, 257])
+def test_cover_table_matches_the_row_scan_on_random_sets(monkeypatch, d):
+    # Seeded 5- to 8-sets, each drawn from the multiples of a random divisor
+    # of d, so that at composite d some sets cover every witness row.  At
+    # d = 257, past the bound, the table is forced on to show its edge.
+    rng = random.Random(d)
+    divisors = [g for g in range(1, d) if d % g == 0 and (d // g) ** 2 >= 8]
+    sets = []
+    for _ in range(60):
+        g = rng.choice(divisors)
+        k = rng.randint(5, 8)
+        points = rng.sample(range((d // g) ** 2), k)
+        sets.append(GbsSet(d, tuple((g * (p // (d // g)), g * (p % (d // g))) for p in points)))
+    table, rows = _decided_both_ways(monkeypatch, sets)
+    for S, got, want in zip(sets, table, rows):
+        assert got == want, S
+    found = {report.condition == DISCRIMINANT for report, _ in table}
+    assert found == ({True} if smallest_prime_factor(d) == d else {True, False})
