@@ -22,10 +22,10 @@ from math import comb
 
 from . import catalog
 from .clifford import symplectic_order
-from .decide import INDISTINGUISHABLE, SMALL_D, LazyTable, decide, decide_with_gap
+from .decide import INDISTINGUISHABLE, SMALL_D, decide, decide_with_gap
 from .equivalence import classify, orbit
 from .gpm import GbsSet, SetFormatError, format_gbs_set, load_set_rows
-from .modring import set_bits
+from .modring import LazyTable, set_bits
 from .numerics import VERIFY_TOL, certify
 
 EXIT_OK = 0
@@ -90,8 +90,8 @@ def render_json(payload) -> str:
 #
 # one member row at a time.  Keys are written in sorted order, and every
 # (m, n) pair, a set element, a witness or a member's element, is text
-# from _json_pairs; set elements and members at d <= SMALL_D come from
-# the table of _pair_text.
+# from _json_pairs; all but the orbit's representative come through the
+# table of _pair_text.
 
 def _json_scalar(value) -> str:
     if value is None:
@@ -116,11 +116,11 @@ def _json_pairs(pairs, pad: str) -> list[str]:
 def _pair_text(pad: str):
     """The text of (m, n) at indent pad, from one table per pad.
 
-    Only pairs of moduli up to SMALL_D are looked up.  The table fills as
-    pairs are met, because a single `check` at d = 256 would spend 44 ms on
-    all 65,536 of them.  A batch or an orbit repeats the few pairs of its
-    modulus: at d = 24 the table renders an orbit's 147,456 elements in
-    about half the time of one f-string per element.
+    The table fills as pairs are met, because a single `check` at d = 256
+    would spend 44 ms on all 65,536 of them, and at any modulus it reads at
+    most k + 1.  A batch or an orbit repeats the few pairs of its modulus:
+    at d = 24 the table renders an orbit's 147,456 elements in about half
+    the time of one f-string per element.
     """
     return LazyTable(lambda pair: _json_pairs([pair], pad)[0]).__getitem__
 
@@ -148,14 +148,9 @@ _cached_slope_gap_json = lru_cache(maxsize=256)(_slope_gap_json)
 def _check_json(S: GbsSet, report, gap_row, pad: str = "") -> str:
     """The JSON report of `check` for S, from decide_with_gap(S)."""
     p1 = pad + "  "
-    if S.d <= SMALL_D:
-        elements = [*map(_pair_text(p1 + "  "), S.elements)]
-        witness = _pair_text(p1)(report.witness) if report.witness else "null"
-        gap_json = _cached_slope_gap_json
-    else:
-        elements = _json_pairs(S.elements, p1 + "  ")
-        witness = _json_pairs([report.witness], p1)[0] if report.witness else "null"
-        gap_json = _slope_gap_json
+    elements = [*map(_pair_text(p1 + "  "), S.elements)]
+    witness = _pair_text(p1)(report.witness) if report.witness else "null"
+    gap_json = _cached_slope_gap_json if S.d <= SMALL_D else _slope_gap_json
     gap = "null" if gap_row is None else gap_json(S.d, *gap_row, p1)
     return (f'{{\n{p1}"condition": {_json_scalar(report.condition)},\n'
             f'{p1}"d": {S.d},\n'
@@ -345,8 +340,7 @@ def _cmd_classify(args) -> int:
 def _write_orbit_json(out, d: int, report, members) -> None:
     """Write render_json of the orbit payload to out, one member row at a time.
 
-    members is the sorted, nonempty list of report.members, and d is at
-    most MAX_ORBIT_D, below SMALL_D.
+    members is the sorted, nonempty list of report.members.
     """
     pair_text = _pair_text("      ")
     certified = "true" if report.generation_certified else "false"

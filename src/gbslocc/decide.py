@@ -30,7 +30,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .gpm import INF, GbsSet, Gpm, is_commutative
-from .modring import is_prime, set_bits, smallest_prime_factor, weyl_rows
+from .modring import LazyTable, is_prime, set_bits, smallest_prime_factor, weyl_rows
 
 __all__ = [
     "DISTINGUISHABLE",
@@ -243,10 +243,13 @@ def decide_with_gap(S: GbsSet) -> tuple[DecisionReport, tuple[int, bool] | None]
 
 
 # The largest modulus whose per-symbol rows and text are cached: the
-# covers here, and the slope-gap and pair texts of cli.  A batch at small d
-# repeats a few symbols (the 52,360 standard 5-sets at d = 6 have 35
-# differences and 80 slope-gap rows), and an entry holds O(d) bits or text.
-SMALL_D = 256
+# covers here and cli's slope-gap texts.  All d^2 <= 4096 symbols of such a
+# modulus fit in one LazyTable.  A cover costs tau(d) + 1 rows where the
+# lazy scan mostly reads two, so the covers pay only when a batch repeats
+# its symbols, as a sweep does: the 52,360 standard 5-sets at d = 6 have 35
+# differences.  Past the bound a batch of random sets empties the table
+# before they repeat, and the covers run 1.5 to 3 times slower.
+SMALL_D = 64
 
 
 def _cover(m: int, n: int, d: int) -> tuple[int, bool, object]:
@@ -256,47 +259,18 @@ def _cover(m: int, n: int, d: int) -> tuple[int, bool, object]:
     row _witness_rows(d)[i] that commute with (m, n), and one last segment
     those of the slope-gap row d - 1.  The flag says whether the difference
     excludes INF (period q = 1, that is m = 0), and the slope is its step,
-    or INF when q = 1.  At d = 240, whose 20 witness rows are the most below
-    the bound, the int has 21 x 240 bits.
+    or INF when q = 1.
     """
-    rows = [weyl_rows(m, n, d)]
+    comb, r, step, q = weyl_rows(m, n, d)
     packed = 0
     for i, x in enumerate((*_witness_rows(d), d - 1)):
-        packed |= _row_cover(rows, x) << i * d
-    step, q = rows[0][2:]
+        if x % r == 0:
+            packed |= comb << (i * d + x // r * step % q)
     return packed, q == 1, INF if q == 1 else step
 
 
-class LazyTable(dict):
-    """make(key) for each key looked up, made on first use and kept.
-
-    The per-symbol caches below SMALL_D: the covers here and the pair texts
-    of cli.  A table is emptied when it reaches 4096 entries, because a
-    batch repeats a few symbols and a full table of covers at d = 240
-    would hold 36 MB.
-    """
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        if len(self) >= 4096:
-            self.clear()
-        value = self[key] = self.make(key)
-        return value
-
-
-@lru_cache(maxsize=4)
-def _covers(d: int) -> LazyTable:
-    """_cover(m, n, d) for one modulus, keyed m * d + n.
-
-    An int key is looked up in under half the time of an lru_cache on
-    (m, n, d).
-    """
-    return LazyTable(lambda key: _cover(*divmod(key, d), d))
+# _cover of each (m, n, d) looked up.
+_COVERS = LazyTable(lambda key: _cover(*key))
 
 
 def _packed_witness(covered: int, d: int) -> Gpm | None:
@@ -332,8 +306,7 @@ def _scan(S: GbsSet):
         idx = len(slopes) if rows and is_prime(d) else None
         return (idx, lambda: next(_free_symbols(rows, d, _witness_rows(d)), None),
                 lambda: _gap_row(rows, d))
-    table = _covers(d)
-    covers = [table[(mi - mj) % d * d + (ni - nj) % d]
+    covers = [_COVERS[(mi - mj) % d, (ni - nj) % d, d]
               for (mi, ni), (mj, nj) in combinations(S.elements, 2)]
     covered, inf = 0, False
     for packed, excludes_inf, _ in covers:

@@ -7,7 +7,8 @@ that solve it form a shifted d-bit comb.  The witness scan of `decide` ORs
 these rows, the slope gap is row d - 1 of them (a pair excludes y exactly
 when (d - 1, y) commutes with its difference), and `solve_weyl_congruence`
 expands them into pairs.  All intermediates are Python ints, so moduli
-well past 64 are safe from overflow.
+well past 64 are safe from overflow.  `LazyTable` is the bounded cache of
+per-symbol values that decide and cli share.
 """
 
 from functools import lru_cache
@@ -51,6 +52,28 @@ def set_bits(mask: int) -> list[int]:
     """Positions of the one bits of mask, ascending, in time linear in its width."""
     # bin() read from its last digit; the reversed '0b' prefix holds no '1'.
     return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+class LazyTable(dict):
+    """make(key) for each key looked up, made on first use and kept.
+
+    A table is emptied when it reaches 4096 entries.  That is 64^2, every
+    symbol of a modulus up to decide.SMALL_D = 64, so decide's covers of
+    one modulus, each at most 13 rows of 60 bits, all fit; cli's texts of
+    pairs, at any modulus, stay under a few MB.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        if len(self) >= 4096:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
 
 
 def solve_weyl_congruence(m: int, n: int, d: int) -> frozenset[tuple[int, int]]:

@@ -430,11 +430,11 @@ def test_cover_table_matches_the_row_scan_on_every_small_standard_set(monkeypatc
         SMALL_SET, TOO_MANY, DISCRIMINANT, COMMUTATIVE, INVERTIBLE, COMPLETE_D4, None}
 
 
-@pytest.mark.parametrize("d", [16, 30, 64, 210, 240, 256, 257])
+@pytest.mark.parametrize("d", [16, 30, 64, 65, 210, 240, 256, 257])
 def test_cover_table_matches_the_row_scan_on_random_sets(monkeypatch, d):
     # Seeded 5- to 8-sets, each drawn from the multiples of a random divisor
-    # of d, so that at composite d some sets cover every witness row.  At
-    # d = 257, past the bound, the table is forced on to show its edge.
+    # of d, so that at composite d some sets cover every witness row.  Past
+    # the bound, from d = 65, the table is forced on to show its edge.
     rng = random.Random(d)
     divisors = [g for g in range(1, d) if d % g == 0 and (d // g) ** 2 >= 8]
     sets = []
