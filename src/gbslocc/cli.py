@@ -88,10 +88,10 @@ def render_json(payload) -> str:
 #
 #   {"d", "generation_certified", "members", "representative", "size"}
 #
-# one member row at a time.  Keys are written in sorted order, and every
-# (m, n) pair, a set element, a witness or a member's element, is text
-# from _json_pairs; all but the orbit's representative come through the
-# table of _pair_text.
+# Keys are written in sorted order.  A batch of reports and the members of
+# an orbit go through _write_json_list, one item at a time, and every
+# (m, n) pair, a set element, a witness, a member's element or the orbit's
+# representative, is text from the table of _pair_text.
 
 def _json_scalar(value) -> str:
     if value is None:
@@ -106,15 +106,19 @@ def _json_list(items: list[str], pad: str) -> str:
     return f"[\n{pad}  {inner.join(items)}\n{pad}]"
 
 
-def _json_pairs(pairs, pad: str) -> list[str]:
-    """Each (m, n) of pairs as render_json writes a list element at indent pad."""
-    inner = pad + "  "
-    return [f"[\n{inner}{m},\n{inner}{n}\n{pad}]" for m, n in pairs]
+def _write_json_list(out, items, pad: str) -> None:
+    """Write _json_list(items, pad) to out, one item at a time."""
+    separator, close = f"[\n{pad}  ", "[]"
+    for item in items:
+        out.write(separator + item)
+        separator, close = f",\n{pad}  ", f"\n{pad}]"
+    out.write(close)
 
 
 @lru_cache(maxsize=None)
 def _pair_text(pad: str):
-    """The text of (m, n) at indent pad, from one table per pad.
+    """The text of (m, n) as render_json writes a list element at indent
+    pad, from one table per pad.
 
     The table fills as pairs are met, because a single `check` at d = 256
     would spend 44 ms on all 65,536 of them, and at any modulus it reads at
@@ -122,7 +126,8 @@ def _pair_text(pad: str):
     at d = 24 the table renders an orbit's 147,456 elements in about half
     the time of one f-string per element.
     """
-    return LazyTable(lambda pair: _json_pairs([pair], pad)[0]).__getitem__
+    inner = pad + "  "
+    return LazyTable(lambda pair: f"[\n{inner}{pair[0]},\n{inner}{pair[1]}\n{pad}]").__getitem__
 
 
 def _open_parameters(d: int, covered: int, inf: bool, inf_text: str) -> list[str]:
@@ -178,10 +183,9 @@ def _check_lines(S: GbsSet, report, gap_row) -> list[str]:
     if gap_row is not None:
         # Only the open parameters become text: at d = 2**22 the excluded
         # ones can be all 4,194,304, which as text would take about 400 MB.
-        covered, inf = gap_row
-        gap = _open_parameters(S.d, covered, inf, "inf")
+        gap = _open_parameters(S.d, *gap_row, "inf")
         lines.append(
-            f"slope gap: {S.d + 1 - covered.bit_count() - inf} of {S.d + 1} "
+            f"slope gap: {len(gap)} of {S.d + 1} "
             f"parameters open ({','.join(gap) or 'none'})"
         )
     return lines
@@ -223,15 +227,9 @@ def _cmd_check(args) -> int:
         for S in sets:
             print(_batch_summary(S))
         return EXIT_OK
-    if not sets:
-        sys.stdout.write(render_json([]))
-        return EXIT_OK
     # The bytes of render_json(payloads): each element indented one level.
-    separator = "[\n  "
-    for S in sets:
-        sys.stdout.write(separator + _check_json(S, *decide_with_gap(S), "  "))
-        separator = ",\n  "
-    sys.stdout.write("\n]\n")
+    _write_json_list(sys.stdout, (_check_json(S, *decide_with_gap(S), "  ") for S in sets), "")
+    sys.stdout.write("\n")
     return EXIT_OK
 
 
@@ -257,6 +255,8 @@ def _cmd_classify(args) -> int:
         return _fail(EXIT_UNSUPPORTED, str(exc))
     if refused := _refuse_candidates("classify", args.d, sets):
         return refused
+    if args.golden and (args.d, args.k) != (4, 4):
+        return _fail(EXIT_UNSUPPORTED, f"no golden tables for (d, k) = ({args.d}, {args.k})")
 
     try:
         result = classify(args.d, args.k, sets)
@@ -284,9 +284,6 @@ def _cmd_classify(args) -> int:
               if report.verdict == INDISTINGUISHABLE]
 
     if args.golden:
-        if (args.d, args.k) != (4, 4):
-            return _fail(EXIT_UNSUPPORTED,
-                         f"no golden tables for (d, k) = ({args.d}, {args.k})")
         # label-blind comparison, so a user supplied representative file is
         # judged on partition shape and membership, not on naming
         golden = catalog.golden_class_sizes()
@@ -340,17 +337,14 @@ def _cmd_classify(args) -> int:
 def _write_orbit_json(out, d: int, report, members) -> None:
     """Write render_json of the orbit payload to out, one member row at a time.
 
-    members is the sorted, nonempty list of report.members.
+    members is the sorted list of report.members.
     """
     pair_text = _pair_text("      ")
     certified = "true" if report.generation_certified else "false"
     out.write(f'{{\n  "d": {d},\n  "generation_certified": {certified},\n  "members": ')
-    separator = "[\n    "
-    for row in members:
-        out.write(separator + _json_list([*map(pair_text, row)], "    "))
-        separator = ",\n    "
-    representative = _json_list(_json_pairs(report.representative, "    "), "  ")
-    out.write(f'\n  ],\n  "representative": {representative},\n'
+    _write_json_list(out, (_json_list([*map(pair_text, row)], "    ") for row in members), "  ")
+    representative = _json_list([*map(_pair_text("    "), report.representative)], "  ")
+    out.write(f',\n  "representative": {representative},\n'
               f'  "size": {report.size}\n}}\n')
 
 

@@ -9,11 +9,14 @@ protocol.  The reported witness is the lexicographically least such T,
 found by scanning row x = 0 and then the rows x that divide d, ascending,
 and stopping at the first free y: each row is one bitmask of d bits, the OR
 of the rows that modring.weyl_rows gives for the differences, and the slope
-gap is row d - 1 of the same rows.  At prime d the rows also carry each
-difference's slope, whose distinct values the index cardinality counts.
+gap is row d - 1 of the same rows.  At prime d a difference of slope s
+excludes exactly the parameter -s, and INF when s = INF, so the index
+cardinality, the number of distinct slopes, is the number of parameters
+the slope gap excludes.
 For d <= SMALL_D those rows are read from one cached cover per difference
 symbol, which packs all of them into one int, so a set is scanned with one
-OR per difference; above it they are built and scanned lazily.
+OR per difference; above it they are built for each set, and the witness
+rows are scanned only when a rule reads the witness.
 The discriminant set itself can have about d^2 members; decide never builds
 it, and its memory stays linear in d.  A fully commutative Delta(S) admits a common
 eigenvector witness; and for composite d a difference set whose members
@@ -24,7 +27,7 @@ condition family is known to be exhaustive, so a fully negative outcome
 there is a proof of indistinguishability rather than an unknown.
 """
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -202,22 +205,14 @@ def slope_gap(S: GbsSet) -> SlopeGap:
 
     A pair excludes the finite y exactly when (d - 1, y) commutes with its
     difference, so the finite exclusions are row d - 1 of the witness scan;
-    a pair with equal m excludes INF.
+    a pair with equal m, whose rows have period q = 1, excludes INF.
     """
     d = S.d
-    covered, inf = _gap_row(_pair_rows(S, "slope gap")[1], d)
+    rows = _pair_rows(S, "slope gap")[1]
+    covered, inf = _row_cover(rows, d - 1), any(q == 1 for _, _, _, q in rows)
     excluded = frozenset(set_bits(covered)) | ({INF} if inf else frozenset())
     admissible = frozenset(range(d)) | {INF}
     return SlopeGap(d, admissible, excluded, admissible - excluded)
-
-
-def _gap_row(rows, d: int) -> tuple[int, bool]:
-    """Row d - 1 of the scan as a d-bit mask, and whether a pair excludes INF.
-
-    A difference has m = 0, and so excludes INF, exactly when its rows have
-    period q = 1.
-    """
-    return _row_cover(rows, d - 1), any(q == 1 for _, _, _, q in rows)
 
 
 def decide(S: GbsSet) -> DecisionReport:
@@ -239,7 +234,7 @@ def decide_with_gap(S: GbsSet) -> tuple[DecisionReport, tuple[int, bool] | None]
     parameters as frozensets.
     """
     idx, witness, gap_row = _scan(S)
-    return _ladder(S, idx, witness), gap_row() if len(S.elements) > 1 else None
+    return _ladder(S, idx, witness), gap_row if len(S.elements) > 1 else None
 
 
 # The largest modulus whose per-symbol rows and text are cached: the
@@ -252,21 +247,19 @@ def decide_with_gap(S: GbsSet) -> tuple[DecisionReport, tuple[int, bool] | None]
 SMALL_D = 64
 
 
-def _cover(m: int, n: int, d: int) -> tuple[int, bool, object]:
+def _cover(m: int, n: int, d: int) -> tuple[int, bool]:
     """The rows of the difference (m, n) that decide reads, at d <= SMALL_D.
 
     The int packs them at d bits a segment: segment i holds the symbols of
     row _witness_rows(d)[i] that commute with (m, n), and one last segment
     those of the slope-gap row d - 1.  The flag says whether the difference
-    excludes INF (period q = 1, that is m = 0), and the slope is its step,
-    or INF when q = 1.
+    excludes INF, that is whether m = 0.
     """
-    comb, r, step, q = weyl_rows(m, n, d)
+    rows = (weyl_rows(m, n, d),)
     packed = 0
     for i, x in enumerate((*_witness_rows(d), d - 1)):
-        if x % r == 0:
-            packed |= comb << (i * d + x // r * step % q)
-    return packed, q == 1, INF if q == 1 else step
+        packed |= _row_cover(rows, x) << i * d
+    return packed, m == 0
 
 
 # _cover of each (m, n, d) looked up.
@@ -288,33 +281,34 @@ def _packed_witness(covered: int, d: int) -> Gpm | None:
 
 
 def _scan(S: GbsSet):
-    """The index cardinality of S and two thunks: its DISCRIMINANT witness
-    and its slope gap's row, as decide_with_gap returns it.
+    """The index cardinality of S, the thunk of its DISCRIMINANT witness, and
+    its slope gap's row (covered, inf), as decide_with_gap returns it.
 
-    At d <= SMALL_D the covers of the pair differences are ORed once, and
-    both thunks read that int.  Above it each difference has its Weyl rows,
-    and a thunk scans them only when called: the witness rows after the
-    size rules, and row d - 1 only for decide_with_gap.  At prime d a
-    difference (m, n) has rows of period q = d and step n * m^-1, its
-    slope, when m != 0, and period q = 1 when m = 0, the slope INF; the
-    index cardinality counts the distinct slopes.
+    At d <= SMALL_D the covers of the pair differences are ORed once: the
+    row is the top segment of that int, and the witness its lowest clear
+    bit below.  Above it each difference has its Weyl rows, and the row is
+    row d - 1 of them.  The witness stays a thunk, read only after the size
+    rules: a SMALL_SET verdict on {(0,0),(0,t),(t,0)} at d = 2t = 3,603,600,
+    which has no witness, would otherwise scan its 480 divisor rows.  At
+    prime d a difference of slope s excludes exactly the parameter -s, and
+    INF when s = INF, so the index cardinality of a set of two or more
+    elements is the number of parameters the row excludes.
     """
     d = S.d
     if d > SMALL_D:
         rows = [weyl_rows(m, n, d) for m, n in _differences(S)]
-        slopes = {step if q > 1 else INF for _, _, step, q in rows}
-        idx = len(slopes) if rows and is_prime(d) else None
-        return (idx, lambda: next(_free_symbols(rows, d, _witness_rows(d)), None),
-                lambda: _gap_row(rows, d))
-    covers = [_COVERS[(mi - mj) % d, (ni - nj) % d, d]
-              for (mi, ni), (mj, nj) in combinations(S.elements, 2)]
-    covered, inf = 0, False
-    for packed, excludes_inf, _ in covers:
-        covered |= packed
-        inf |= excludes_inf
-    idx = len({slope for _, _, slope in covers}) if covers and is_prime(d) else None
-    return (idx, lambda: _packed_witness(covered, d),
-            lambda: (covered >> len(_witness_rows(d)) * d, inf))
+        witness = lambda: next(_free_symbols(rows, d, _witness_rows(d)), None)
+        gap, inf = _row_cover(rows, d - 1), any(q == 1 for _, _, _, q in rows)
+    else:
+        covered, inf = 0, False
+        for (mi, ni), (mj, nj) in combinations(S.elements, 2):
+            packed, excludes_inf = _COVERS[(mi - mj) % d, (ni - nj) % d, d]
+            covered |= packed
+            inf |= excludes_inf
+        witness = lambda: _packed_witness(covered, d)
+        gap = covered >> len(_witness_rows(d)) * d
+    idx = gap.bit_count() + inf if len(S.elements) > 1 and is_prime(d) else None
+    return idx, witness, (gap, inf)
 
 
 def _ladder(S: GbsSet, idx: int | None, witness) -> DecisionReport:
@@ -325,26 +319,25 @@ def _ladder(S: GbsSet, idx: int | None, witness) -> DecisionReport:
     formed again there: at most k(k - 1)/2 pairs, against the rows' O(d).
     """
     d, size = S.d, len(S.elements)
-    report = partial(DecisionReport, index_cardinality=idx)
 
     if size <= 3 and (size <= 2 or d >= 3):
-        return report(DISTINGUISHABLE, FULL_LOCC, SMALL_SET)
+        return DecisionReport(DISTINGUISHABLE, FULL_LOCC, SMALL_SET, None, idx)
     if size >= d + 1:
-        return report(INDISTINGUISHABLE, FULL_LOCC, TOO_MANY)
+        return DecisionReport(INDISTINGUISHABLE, FULL_LOCC, TOO_MANY, None, idx)
 
     witness = witness()
     if witness is not None:
-        return report(DISTINGUISHABLE, ONE_WAY, DISCRIMINANT, witness=witness)
+        return DecisionReport(DISTINGUISHABLE, ONE_WAY, DISCRIMINANT, witness, idx)
     diffs = _differences(S)
     if is_commutative(diffs, d):
-        return report(DISTINGUISHABLE, ONE_WAY, COMMUTATIVE)
+        return DecisionReport(DISTINGUISHABLE, ONE_WAY, COMMUTATIVE, None, idx)
     if not is_prime(d) and _invertible(diffs, d):
         s = smallest_prime_factor(d)
-        return report(DISTINGUISHABLE, ONE_WAY, INVERTIBLE, witness=(s, d // s))
+        return DecisionReport(DISTINGUISHABLE, ONE_WAY, INVERTIBLE, (s, d // s), idx)
 
     if d == 4 and size == 4:
-        return report(INDISTINGUISHABLE, FULL_LOCC, COMPLETE_D4)
+        return DecisionReport(INDISTINGUISHABLE, FULL_LOCC, COMPLETE_D4, None, idx)
     if d == 5 and size in (4, 5):
         mode = ONE_WAY if size == 4 else FULL_LOCC
-        return report(INDISTINGUISHABLE, mode, COMPLETE_D5)
-    return report(INCONCLUSIVE, FULL_LOCC)
+        return DecisionReport(INDISTINGUISHABLE, mode, COMPLETE_D5, None, idx)
+    return DecisionReport(INCONCLUSIVE, FULL_LOCC, None, None, idx)

@@ -97,7 +97,7 @@ def gbs_sets(draw, d):
 @st.composite
 def batches(draw):
     d = draw(st.integers(2, 64))
-    return d, draw(st.lists(gbs_sets(d), min_size=1, max_size=4))
+    return d, draw(st.lists(gbs_sets(d), min_size=0, max_size=4))
 
 
 @settings(max_examples=150, deadline=None)

@@ -391,6 +391,16 @@ def test_classify_golden_unsupported_pair(capsys):
     assert "no golden tables" in err
 
 
+def test_classify_golden_unsupported_pair_refuses_before_classifying(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("classify ran for an unsupported golden request")
+
+    monkeypatch.setattr("gbslocc.cli.classify", fail)
+    code, _, err = run_cli(capsys, "classify", "-d", "5", "-k", "5", "--golden")
+    assert code == 3
+    assert "no golden tables" in err
+
+
 def test_classify_emit_indist_matches_fixture(capsys):
     code, out, _ = run_cli(capsys, "classify", "-d", "4", "-k", "4", "--emit-indist")
     assert code == 0
