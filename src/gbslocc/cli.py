@@ -13,10 +13,12 @@ diagnostics to stderr.
 """
 
 import argparse
+import io
 import json
 import signal
 import sys
 from functools import lru_cache
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import comb
 
@@ -39,17 +41,20 @@ EXIT_NOTHING_TO_CERTIFY = 5
 # scan of `check` (and of `verify`, which decides first) reads row 0 and the
 # rows dividing d, each a d-bit mask, so a set without a witness costs one
 # row per divisor; `check` then lists the slope gap's up to d + 1
-# parameters.  Near d = 2**22 on a 2-core machine that is about 1.5-1.8 s
-# and 470 MB, and 3.3-4.1 s and 840 MB with --json.
-# `orbit` and `classify` apply all ~d^3 symplectic matrices: about 1 s for
-# a 2-set at d = 64.
+# parameters.  For a 5-set at the prime d = 4,194,301, on a 2-core machine
+# in a fresh process, that is about 1.7-1.9 s and 470 MB, and 2.7-2.9 s and
+# 190 MB with --json, which writes the slope-gap lists as they are made.
+# `orbit` and `classify` apply all ~d^3 symplectic matrices: about
+# 0.4-0.6 s for a 2-set at d = 64, a quarter of it listing the 196,608
+# matrices.
 MAX_CHECK_D = 2 ** 22
 MAX_ORBIT_D = 64
 # `classify` audits all C(d^2 - 1, k - 1) standard sets.
 MAX_CLASSIFY_SETS = 10 ** 6
 # An orbit of N is built from |N| * |SL(2, Z_d)| candidate sets, and
-# `classify` builds one orbit per representative: about 1 s per 400,000
-# candidates of a 2-set at d = 64.
+# `classify` builds one orbit per representative.  At d = 64, `orbit
+# --json` on a 4-set, 786,432 candidates, takes about 2.2-2.7 s and 112 MB,
+# and on a 5-set, 983,040 candidates, 4.3-5.0 s and 125 MB.
 MAX_ORBIT_CANDIDATES = 10 ** 6
 
 
@@ -76,7 +81,8 @@ def render_json(payload) -> str:
 # because json.dumps with indent goes through the pure-Python encoder: at
 # d = 6 that took longer than deciding the sets, and for the 36,864 members
 # of a d = 24 orbit it held about 44 MB of chunks.  Each writer must match
-# render_json of its payload byte for byte.  _check_json(...) + "\n" is
+# render_json of its payload byte for byte.  _write_check_json writes,
+# without the final "\n",
 #
 #   {"d", "set", "verdict", "mode", "condition", "witness",
 #    "index_cardinality", "slope_gap": null or
@@ -88,8 +94,8 @@ def render_json(payload) -> str:
 #
 #   {"d", "generation_certified", "members", "representative", "size"}
 #
-# Keys are written in sorted order.  A batch of reports and the members of
-# an orbit go through _write_json_list, one item at a time, and every
+# Keys are written in sorted order.  The members of an orbit and, above
+# SMALL_D, the slope-gap lists go through _write_json_list, and every
 # (m, n) pair, a set element, a witness, a member's element or the orbit's
 # representative, is text from the table of _pair_text.
 
@@ -107,12 +113,16 @@ def _json_list(items: list[str], pad: str) -> str:
 
 
 def _write_json_list(out, items, pad: str) -> None:
-    """Write _json_list(items, pad) to out, one item at a time."""
-    separator, close = f"[\n{pad}  ", "[]"
-    for item in items:
-        out.write(separator + item)
-        separator, close = f",\n{pad}  ", f"\n{pad}]"
-    out.write(close)
+    """Write _json_list(items, pad) to out, 1024 items at a time."""
+    inner, items = f",\n{pad}  ", iter(items)
+    chunk = [*islice(items, 1024)]
+    if not chunk:
+        out.write("[]")
+        return
+    out.write(f"[\n{pad}  " + inner.join(chunk))
+    while chunk := [*islice(items, 1024)]:
+        out.write(inner + inner.join(chunk))
+    out.write(f"\n{pad}]")
 
 
 @lru_cache(maxsize=None)
@@ -130,41 +140,54 @@ def _pair_text(pad: str):
     return LazyTable(lambda pair: f"[\n{inner}{pair[0]},\n{inner}{pair[1]}\n{pad}]").__getitem__
 
 
-def _open_parameters(d: int, covered: int, inf: bool, inf_text: str) -> list[str]:
+def _open_parameters(d: int, covered: int, inf: bool, inf_text: str):
     """The parameters that decide_with_gap's row leaves open, as text."""
-    return [*map(str, set_bits(covered ^ ((1 << d) - 1))), *([] if inf else [inf_text])]
+    return chain(map(str, set_bits(covered ^ ((1 << d) - 1))), [] if inf else [inf_text])
 
 
-def _slope_gap_json(d: int, covered: int, inf: bool, pad: str) -> str:
-    excluded = [*map(str, set_bits(covered)), *(['"inf"'] if inf else [])]
-    gap = _open_parameters(d, covered, inf, '"inf"')
-    admissible = [*map(str, range(d)), '"inf"']
+def _write_slope_gap_json(out, d: int, covered: int, inf: bool, pad: str) -> None:
+    # Each list is written as it is made: at d = 2**22 the three lists can
+    # hold 8.4 million parameters, about 120 MB of text.
     inner = pad + "  "
-    return (f'{{\n{inner}"admissible": {_json_list(admissible, inner)},\n'
-            f'{inner}"excluded": {_json_list(excluded, inner)},\n'
-            f'{inner}"gap": {_json_list(gap, inner)}\n{pad}}}')
+    out.write(f'{{\n{inner}"admissible": ')
+    _write_json_list(out, chain(map(str, range(d)), ['"inf"']), inner)
+    out.write(f',\n{inner}"excluded": ')
+    _write_json_list(out, chain(map(str, set_bits(covered)), ['"inf"'] if inf else []), inner)
+    out.write(f',\n{inner}"gap": ')
+    _write_json_list(out, _open_parameters(d, covered, inf, '"inf"'), inner)
+    out.write(f"\n{pad}}}")
 
 
 # Used at d <= SMALL_D, where a batch repeats a few rows: the 52,360
 # standard 5-sets at d = 6 have 80.
-_cached_slope_gap_json = lru_cache(maxsize=256)(_slope_gap_json)
+@lru_cache(maxsize=256)
+def _slope_gap_json(d: int, covered: int, inf: bool, pad: str) -> str:
+    text = io.StringIO()
+    _write_slope_gap_json(text, d, covered, inf, pad)
+    return text.getvalue()
 
 
-def _check_json(S: GbsSet, report, gap_row, pad: str = "") -> str:
-    """The JSON report of `check` for S, from decide_with_gap(S)."""
+def _write_check_json(out, S: GbsSet, report, gap_row, pad: str = "") -> None:
+    """Write the JSON report of `check` for S, from decide_with_gap(S)."""
     p1 = pad + "  "
     elements = [*map(_pair_text(p1 + "  "), S.elements)]
     witness = _pair_text(p1)(report.witness) if report.witness else "null"
-    gap_json = _cached_slope_gap_json if S.d <= SMALL_D else _slope_gap_json
-    gap = "null" if gap_row is None else gap_json(S.d, *gap_row, p1)
-    return (f'{{\n{p1}"condition": {_json_scalar(report.condition)},\n'
+    head = (f'{{\n{p1}"condition": {_json_scalar(report.condition)},\n'
             f'{p1}"d": {S.d},\n'
             f'{p1}"index_cardinality": {_json_scalar(report.index_cardinality)},\n'
             f'{p1}"mode": {_json_scalar(report.mode)},\n'
             f'{p1}"set": {_json_list(elements, p1)},\n'
-            f'{p1}"slope_gap": {gap},\n'
-            f'{p1}"verdict": {_json_scalar(report.verdict)},\n'
+            f'{p1}"slope_gap": ')
+    tail = (f',\n{p1}"verdict": {_json_scalar(report.verdict)},\n'
             f'{p1}"witness": {witness}\n{pad}}}')
+    if gap_row is None:
+        out.write(head + "null" + tail)
+    elif S.d <= SMALL_D:
+        out.write(head + _slope_gap_json(S.d, *gap_row, p1) + tail)
+    else:
+        out.write(head)
+        _write_slope_gap_json(out, S.d, *gap_row, p1)
+        out.write(tail)
 
 
 def _check_lines(S: GbsSet, report, gap_row) -> list[str]:
@@ -183,7 +206,7 @@ def _check_lines(S: GbsSet, report, gap_row) -> list[str]:
     if gap_row is not None:
         # Only the open parameters become text: at d = 2**22 the excluded
         # ones can be all 4,194,304, which as text would take about 400 MB.
-        gap = _open_parameters(S.d, *gap_row, "inf")
+        gap = [*_open_parameters(S.d, *gap_row, "inf")]
         lines.append(
             f"slope gap: {len(gap)} of {S.d + 1} "
             f"parameters open ({','.join(gap) or 'none'})"
@@ -211,7 +234,8 @@ def _cmd_check(args) -> int:
         except SetFormatError as exc:
             return _fail(EXIT_BAD_INPUT, str(exc))
         if args.json:
-            sys.stdout.write(_check_json(S, *decide_with_gap(S)) + "\n")
+            _write_check_json(sys.stdout, S, *decide_with_gap(S))
+            sys.stdout.write("\n")
         else:
             print("\n".join(_check_lines(S, *decide_with_gap(S))))
         return EXIT_OK
@@ -228,8 +252,12 @@ def _cmd_check(args) -> int:
             print(_batch_summary(S))
         return EXIT_OK
     # The bytes of render_json(payloads): each element indented one level.
-    _write_json_list(sys.stdout, (_check_json(S, *decide_with_gap(S), "  ") for S in sets), "")
-    sys.stdout.write("\n")
+    separator = "[\n  "
+    for S in sets:
+        sys.stdout.write(separator)
+        _write_check_json(sys.stdout, S, *decide_with_gap(S), "  ")
+        separator = ",\n  "
+    sys.stdout.write("[]\n" if separator == "[\n  " else "\n]\n")
     return EXIT_OK
 
 
@@ -334,15 +362,30 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _write_orbit_json(out, d: int, report, members) -> None:
-    """Write render_json of the orbit payload to out, one member row at a time.
+def _member_rows(report, texts: list[str], sep: str):
+    """The members of an orbit, ascending, in lists of 1024: each member is
+    texts[c] for its codes c (see OrbitReport), code 0 first, joined by sep.
 
-    members is the sorted list of report.members.
+    The codes are read off report.packed one digit column per list.
     """
-    pair_text = _pair_text("      ")
+    D = report.d ** 2
+    scales = [D ** e for e in range(len(report.representative) - 2, -1, -1)]
+    packed = report.packed
+    for start in range(0, len(packed), 1024):
+        part = packed[start:start + 1024]
+        columns = [[texts[p // scale % D] for p in part] for scale in scales]
+        yield [*map(sep.join, zip(repeat(texts[0]), *columns))]
+
+
+def _write_orbit_json(out, report) -> None:
+    """Write render_json of the orbit payload to out, a chunk of members at a time."""
+    d = report.d
+    texts = [*map(_pair_text("      "), ((m, n) for m in range(d) for n in range(d)))]
+    texts[0] = "[\n      " + texts[0]
+    chunks = _member_rows(report, texts, ",\n      ")
     certified = "true" if report.generation_certified else "false"
     out.write(f'{{\n  "d": {d},\n  "generation_certified": {certified},\n  "members": ')
-    _write_json_list(out, (_json_list([*map(pair_text, row)], "    ") for row in members), "  ")
+    _write_json_list(out, (row + "\n    ]" for rows in chunks for row in rows), "  ")
     representative = _json_list([*map(_pair_text("    "), report.representative)], "  ")
     out.write(f',\n  "representative": {representative},\n'
               f'  "size": {report.size}\n}}\n')
@@ -356,16 +399,16 @@ def _cmd_orbit(args) -> int:
         report = orbit(S)
     except (SetFormatError, ValueError) as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
-    members = sorted(report.members)
     if args.json:
-        _write_orbit_json(sys.stdout, args.d, report, members)
+        _write_orbit_json(sys.stdout, report)
         return EXIT_OK
     print(f"orbit size {report.size} (d = {args.d})")
     if not report.generation_certified:
         print("note: the input lacks invertible shift and clock powers, so the "
               "listing may be a proper subset of the equivalence class")
-    for row in members:
-        print(format_gbs_set(row))
+    texts = [f"{m},{n}" for m in range(args.d) for n in range(args.d)]
+    for rows in _member_rows(report, texts, ";"):
+        sys.stdout.write("\n".join(rows) + "\n")
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbslocc.cli import _check_json, main, render_json
+from gbslocc.cli import _write_check_json, main, render_json
 from gbslocc.decide import decide, decide_with_gap, slope_gap
 from gbslocc.gpm import INF, GbsSet, format_gbs_set
 
@@ -55,16 +55,24 @@ EDGE_SETS = {
     "INVERTIBLE, witness (2,2)": (4, "1,2;1,3;2,2;0,1"),
     "DISCRIMINANT at d = 1009": (1009, "0,0;1,5;7,300;400,2;900,901"),
     "no parameter excluded": (4, "0,0;2,1"),
+    # Above SMALL_D the lists are written 4096 parameters at a time.
+    "slope-gap lists past one chunk": (4099, "0,0;5,7"),
 }
+
+
+def check_json(S: GbsSet, pad: str = "") -> str:
+    out = io.StringIO()
+    _write_check_json(out, S, *decide_with_gap(S), pad)
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("d, literal", EDGE_SETS.values(), ids=EDGE_SETS)
 def test_writer_matches_render_json(d, literal):
     S = GbsSet.parse(literal, d)
     payload = reference_payload(S)
-    assert _check_json(S, *decide_with_gap(S)) + "\n" == render_json(payload)
+    assert check_json(S) + "\n" == render_json(payload)
     # Indented as one element of the streamed batch array.
-    assert "[\n  " + _check_json(S, *decide_with_gap(S), "  ") + "\n]\n" == render_json([payload])
+    assert "[\n  " + check_json(S, "  ") + "\n]\n" == render_json([payload])
 
 
 def test_edge_sets_cover_the_null_and_empty_fields():
@@ -78,6 +86,8 @@ def test_edge_sets_cover_the_null_and_empty_fields():
     assert payloads["INVERTIBLE, witness (2,2)"]["witness"] == [2, 2]
     assert len(payloads["DISCRIMINANT at d = 1009"]["slope_gap"]["admissible"]) == 1010
     assert payloads["no parameter excluded"]["slope_gap"]["excluded"] == []
+    lists = payloads["slope-gap lists past one chunk"]["slope_gap"]
+    assert len(lists["admissible"]) > 4096 and len(lists["gap"]) > 4096
 
 
 def run_main(*argv):
