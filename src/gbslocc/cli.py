@@ -41,9 +41,10 @@ EXIT_NOTHING_TO_CERTIFY = 5
 # scan of `check` (and of `verify`, which decides first) reads row 0 and the
 # rows dividing d, each a d-bit mask, so a set without a witness costs one
 # row per divisor; `check` then lists the slope gap's up to d + 1
-# parameters.  For a 5-set at the prime d = 4,194,301, on a 2-core machine
-# in a fresh process, that is about 1.7-1.9 s and 470 MB, and 2.7-2.9 s and
-# 190 MB with --json, which writes the slope-gap lists as they are made.
+# parameters, written as they are made.  For a 5-set at the prime
+# d = 4,194,301, on a 2-core machine in a fresh process, that is about
+# 1.0-1.2 s and 24 MB, and 2.0-2.6 s and 24 MB with --json, which also lists
+# every admissible and excluded parameter.
 # `orbit` and `classify` apply all ~d^3 symplectic matrices: about
 # 0.4-0.6 s for a 2-set at d = 64, a quarter of it listing the 196,608
 # matrices.
@@ -158,39 +159,52 @@ def _write_slope_gap_json(out, d: int, covered: int, inf: bool, pad: str) -> Non
     out.write(f"\n{pad}}}")
 
 
-# Used at d <= SMALL_D, where a batch repeats a few rows: the 52,360
-# standard 5-sets at d = 6 have 80.
+def _check_json_frame(d: int, report, pad: str):
+    """The report of `check` around its set and slope gap, as (head, sep,
+    middle, tail): the report is head, the set's elements joined by sep,
+    middle, the slope gap and tail."""
+    p1 = pad + "  "
+    witness = _pair_text(p1)(report.witness) if report.witness else "null"
+    head = (f'{{\n{p1}"condition": {_json_scalar(report.condition)},\n'
+            f'{p1}"d": {d},\n'
+            f'{p1}"index_cardinality": {_json_scalar(report.index_cardinality)},\n'
+            f'{p1}"mode": {_json_scalar(report.mode)},\n'
+            f'{p1}"set": [\n{p1}  ')
+    tail = (f',\n{p1}"verdict": {_json_scalar(report.verdict)},\n'
+            f'{p1}"witness": {witness}\n{pad}}}')
+    return head, f",\n{p1}  ", f'\n{p1}],\n{p1}"slope_gap": ', tail
+
+
+# Used at d <= SMALL_D, where a batch repeats a few reports: the 52,360
+# standard 5-sets at d = 6 have 85.
 @lru_cache(maxsize=256)
-def _slope_gap_json(d: int, covered: int, inf: bool, pad: str) -> str:
-    text = io.StringIO()
-    _write_slope_gap_json(text, d, covered, inf, pad)
-    return text.getvalue()
+def _small_check_json_frame(d: int, report, gap_row, pad: str):
+    """_check_json_frame with the slope gap written into it, as (head, sep, tail)."""
+    head, sep, middle, tail = _check_json_frame(d, report, pad)
+    if gap_row is None:
+        return head, sep, middle + "null" + tail
+    gap = io.StringIO()
+    _write_slope_gap_json(gap, d, *gap_row, pad + "  ")
+    return head, sep, middle + gap.getvalue() + tail
 
 
 def _write_check_json(out, S: GbsSet, report, gap_row, pad: str = "") -> None:
     """Write the JSON report of `check` for S, from decide_with_gap(S)."""
-    p1 = pad + "  "
-    elements = [*map(_pair_text(p1 + "  "), S.elements)]
-    witness = _pair_text(p1)(report.witness) if report.witness else "null"
-    head = (f'{{\n{p1}"condition": {_json_scalar(report.condition)},\n'
-            f'{p1}"d": {S.d},\n'
-            f'{p1}"index_cardinality": {_json_scalar(report.index_cardinality)},\n'
-            f'{p1}"mode": {_json_scalar(report.mode)},\n'
-            f'{p1}"set": {_json_list(elements, p1)},\n'
-            f'{p1}"slope_gap": ')
-    tail = (f',\n{p1}"verdict": {_json_scalar(report.verdict)},\n'
-            f'{p1}"witness": {witness}\n{pad}}}')
+    elements = map(_pair_text(pad + "    "), S.elements)
+    if S.d <= SMALL_D:
+        head, sep, tail = _small_check_json_frame(S.d, report, gap_row, pad)
+        out.write(head + sep.join(elements) + tail)
+        return
+    head, sep, middle, tail = _check_json_frame(S.d, report, pad)
+    out.write(head + sep.join(elements) + middle)
     if gap_row is None:
-        out.write(head + "null" + tail)
-    elif S.d <= SMALL_D:
-        out.write(head + _slope_gap_json(S.d, *gap_row, p1) + tail)
+        out.write("null")
     else:
-        out.write(head)
-        _write_slope_gap_json(out, S.d, *gap_row, p1)
-        out.write(tail)
+        _write_slope_gap_json(out, S.d, *gap_row, pad + "  ")
+    out.write(tail)
 
 
-def _check_lines(S: GbsSet, report, gap_row) -> list[str]:
+def _write_check_text(out, S: GbsSet, report, gap_row) -> None:
     lines = [
         f"set {format_gbs_set(S.elements)} (d = {S.d})",
         f"verdict: {report.verdict}",
@@ -203,15 +217,19 @@ def _check_lines(S: GbsSet, report, gap_row) -> list[str]:
         lines.append(f"witness: ({m},{n})")
     if report.index_cardinality is not None:
         lines.append(f"index cardinality: {report.index_cardinality}")
-    if gap_row is not None:
-        # Only the open parameters become text: at d = 2**22 the excluded
-        # ones can be all 4,194,304, which as text would take about 400 MB.
-        gap = [*_open_parameters(S.d, *gap_row, "inf")]
-        lines.append(
-            f"slope gap: {len(gap)} of {S.d + 1} "
-            f"parameters open ({','.join(gap) or 'none'})"
-        )
-    return lines
+    out.write("\n".join(lines) + "\n")
+    if gap_row is None:
+        return
+    # The open parameters are written 1024 at a time: near d = 2**22 they
+    # can be 4.2 million, which as one line held about 470 MB.
+    covered, inf = gap_row
+    out.write(f"slope gap: {S.d - covered.bit_count() + (not inf)} of {S.d + 1} "
+              "parameters open (")
+    gap = _open_parameters(S.d, covered, inf, "inf")
+    out.write(",".join(islice(gap, 1024)) or "none")
+    while chunk := ",".join(islice(gap, 1024)):
+        out.write("," + chunk)
+    out.write(")\n")
 
 
 def _batch_summary(S: GbsSet) -> str:
@@ -237,7 +255,7 @@ def _cmd_check(args) -> int:
             _write_check_json(sys.stdout, S, *decide_with_gap(S))
             sys.stdout.write("\n")
         else:
-            print("\n".join(_check_lines(S, *decide_with_gap(S))))
+            _write_check_text(sys.stdout, S, *decide_with_gap(S))
         return EXIT_OK
 
     try:

@@ -14,9 +14,10 @@ excludes exactly the parameter -s, and INF when s = INF, so the index
 cardinality, the number of distinct slopes, is the number of parameters
 the slope gap excludes.
 For d <= SMALL_D those rows are read from one cached cover per difference
-symbol, which packs all of them into one int, so a set is scanned with one
-OR per difference; above it they are built for each set, and the witness
-rows are scanned only when a rule reads the witness.
+symbol, which packs all of them and the INF exclusion into one int, so a
+set is scanned with one OR per difference and read off from a cache of
+those ORs; above it they are built for each set, and the witness rows are
+scanned only when a rule reads the witness.
 The discriminant set itself can have about d^2 members; decide never builds
 it, and its memory stays linear in d.  A fully commutative Delta(S) admits a common
 eigenvector witness; and for composite d a difference set whose members
@@ -237,78 +238,85 @@ def decide_with_gap(S: GbsSet) -> tuple[DecisionReport, tuple[int, bool] | None]
     return _ladder(S, idx, witness), gap_row if len(S.elements) > 1 else None
 
 
-# The largest modulus whose per-symbol rows and text are cached: the
-# covers here and cli's slope-gap texts.  All d^2 <= 4096 symbols of such a
-# modulus fit in one LazyTable.  A cover costs tau(d) + 1 rows where the
-# lazy scan mostly reads two, so the covers pay only when a batch repeats
-# its symbols, as a sweep does: the 52,360 standard 5-sets at d = 6 have 35
+# The largest modulus whose per-symbol rows are cached: the covers here
+# and cli's check reports.  All d^2 <= 4096 symbols of such a modulus fit
+# in one LazyTable.  A cover costs tau(d) + 1 rows where the lazy scan
+# mostly reads two, so the covers pay only when a batch repeats its
+# symbols, as a sweep does: the 52,360 standard 5-sets at d = 6 have 35
 # differences.  Past the bound a batch of random sets empties the table
 # before they repeat, and the covers run 1.5 to 3 times slower.
 SMALL_D = 64
 
 
-def _cover(m: int, n: int, d: int) -> tuple[int, bool]:
-    """The rows of the difference (m, n) that decide reads, at d <= SMALL_D.
+@lru_cache(maxsize=8)
+def _covers(d: int) -> LazyTable:
+    """The cover of each difference (m, n) at d <= SMALL_D, by its code m*d + n.
 
-    The int packs them at d bits a segment: segment i holds the symbols of
-    row _witness_rows(d)[i] that commute with (m, n), and one last segment
-    those of the slope-gap row d - 1.  The flag says whether the difference
-    excludes INF, that is whether m = 0.
+    A cover packs the rows of (m, n) that decide reads at d bits a
+    segment: segment i holds the symbols of row _witness_rows(d)[i] that
+    commute with (m, n), and the next one those of the slope-gap row
+    d - 1.  The bit above them says whether the difference excludes INF,
+    that is whether m = 0.  Covers are made as differences are met.
     """
-    rows = (weyl_rows(m, n, d),)
-    packed = 0
-    for i, x in enumerate((*_witness_rows(d), d - 1)):
-        packed |= _row_cover(rows, x) << i * d
-    return packed, m == 0
+    xs = (*_witness_rows(d), d - 1)
+
+    def cover(code: int) -> int:
+        m, n = divmod(code, d)
+        rows = (weyl_rows(m, n, d),)
+        packed = 0
+        for i, x in enumerate(xs):
+            packed |= _row_cover(rows, x) << i * d
+        return packed | (m == 0) << len(xs) * d
+
+    return LazyTable(cover)
 
 
-# _cover of each (m, n, d) looked up.
-_COVERS = LazyTable(lambda key: _cover(*key))
+@lru_cache(maxsize=4096)
+def _decoded(covered: int, d: int) -> tuple[tuple[int, bool], Gpm | None]:
+    """The slope gap's row (gap, inf) and the witness of an OR of covers.
 
-
-def _packed_witness(covered: int, d: int) -> Gpm | None:
-    """The least free symbol of an OR of covers: its lowest clear bit below the gap segment.
-
-    The segments are in the order _free_symbols scans the rows, so this is
-    the symbol that scan yields first.
+    The witness is the least free symbol: the lowest clear bit below the
+    gap segment.  The segments are in the order _free_symbols scans the
+    rows, so this is the symbol that scan yields first.
     """
     xs = _witness_rows(d)
-    free = ~covered & ((1 << len(xs) * d) - 1)
-    if not free:
-        return None
-    i, y = divmod((free & -free).bit_length() - 1, d)
-    return xs[i], y
+    width = len(xs) * d
+    free = ~covered & ((1 << width) - 1)
+    witness = None
+    if free:
+        i, y = divmod((free & -free).bit_length() - 1, d)
+        witness = xs[i], y
+    return (covered >> width & ((1 << d) - 1), covered >> width + d == 1), witness
 
 
 def _scan(S: GbsSet):
     """The index cardinality of S, the thunk of its DISCRIMINANT witness, and
     its slope gap's row (covered, inf), as decide_with_gap returns it.
 
-    At d <= SMALL_D the covers of the pair differences are ORed once: the
-    row is the top segment of that int, and the witness its lowest clear
-    bit below.  Above it each difference has its Weyl rows, and the row is
-    row d - 1 of them.  The witness stays a thunk, read only after the size
-    rules: a SMALL_SET verdict on {(0,0),(0,t),(t,0)} at d = 2t = 3,603,600,
-    which has no witness, would otherwise scan its 480 divisor rows.  At
-    prime d a difference of slope s excludes exactly the parameter -s, and
-    INF when s = INF, so the index cardinality of a set of two or more
-    elements is the number of parameters the row excludes.
+    At d <= SMALL_D the covers of the pair differences are ORed, and the
+    row and the witness are read off that int.  Above it each difference
+    has its Weyl rows, and the row is row d - 1 of them.  The witness there
+    stays a thunk, read only after the size rules: a SMALL_SET verdict on
+    {(0,0),(0,t),(t,0)} at d = 2t = 3,603,600, which has no witness, would
+    otherwise scan its 480 divisor rows.  At prime d a difference of slope
+    s excludes exactly the parameter -s, and INF when s = INF, so the index
+    cardinality of a set of two or more elements is the number of
+    parameters the row excludes.
     """
     d = S.d
     if d > SMALL_D:
         rows = [weyl_rows(m, n, d) for m, n in _differences(S)]
         witness = lambda: next(_free_symbols(rows, d, _witness_rows(d)), None)
-        gap, inf = _row_cover(rows, d - 1), any(q == 1 for _, _, _, q in rows)
+        gap_row = _row_cover(rows, d - 1), any(q == 1 for _, _, _, q in rows)
     else:
-        covered, inf = 0, False
+        covers, covered = _covers(d), 0
         for (mi, ni), (mj, nj) in combinations(S.elements, 2):
-            packed, excludes_inf = _COVERS[(mi - mj) % d, (ni - nj) % d, d]
-            covered |= packed
-            inf |= excludes_inf
-        witness = lambda: _packed_witness(covered, d)
-        gap = covered >> len(_witness_rows(d)) * d
+            covered |= covers[(mi - mj) % d * d + (ni - nj) % d]
+        gap_row, found = _decoded(covered, d)
+        witness = lambda: found
+    gap, inf = gap_row
     idx = gap.bit_count() + inf if len(S.elements) > 1 and is_prime(d) else None
-    return idx, witness, (gap, inf)
+    return idx, witness, gap_row
 
 
 def _ladder(S: GbsSet, idx: int | None, witness) -> DecisionReport:

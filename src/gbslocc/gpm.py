@@ -130,6 +130,18 @@ class GbsSet:
         return iter(self.elements)
 
 
+_set_d, _set_elements = GbsSet.d.__set__, GbsSet.elements.__set__
+
+
+def _trusted_gbs_set(d: int, elements: tuple[Gpm, ...]) -> GbsSet:
+    """A GbsSet of what a parse has already checked, built without the
+    checks: d a modulus GbsSet took, elements distinct pairs in [0, d)."""
+    S = object.__new__(GbsSet)
+    _set_d(S, d)
+    _set_elements(S, elements)
+    return S
+
+
 def parse_gbs_set(text: str, d: int) -> GbsSet:
     """Parse a set literal like '0,0;0,1;1,0;1,2'.
 
@@ -169,20 +181,42 @@ def load_set_rows(path, d: int) -> tuple[GbsSet, ...]:
     comments are skipped, and so is a leading byte-order mark.  Any bad
     line, or bytes that are not UTF-8, raise SetFormatError naming the path
     (and the line).  read_text has turned '\\r\\n' and '\\r' into '\\n', so
-    lines end there only, not at the other breaks of str.splitlines."""
+    lines end there only, not at the other breaks of str.splitlines.
+
+    A batch repeats a few token texts many times, so each line whose
+    tokens are all known canonical texts 'm,n', each written once, is read
+    from a table of the pairs met so far and not checked again.  The table
+    holds only the pairs of lines parse_gbs_set took, under the text
+    format_gbs_set gives them, and every other line is parsed in full:
+    the first, which checks d, and any with spaces, signs, leading zeros,
+    a repeated token or an error.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SetFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
-    rows = []
+    rows, pairs = [], {}
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        tokens = line.split(";")
         try:
-            rows.append(parse_gbs_set(line, d))
+            elements = tuple([pairs[token] for token in tokens])
+        except KeyError:
+            pass
+        else:
+            if len(set(tokens)) == len(tokens):
+                rows.append(_trusted_gbs_set(modulus, elements))
+                continue
+        try:
+            S = parse_gbs_set(line, d)
         except SetFormatError as exc:
             raise SetFormatError(f"{path}:{lineno}: {exc}") from None
+        rows.append(S)
+        modulus = S.d
+        for pair in S.elements:
+            pairs[f"{pair[0]},{pair[1]}"] = pair
     return tuple(rows)
 
 

@@ -48,10 +48,15 @@ def weyl_rows(m: int, n: int, d: int) -> tuple[int, int, int, int]:
     return comb, g // h, n // h * pow(m // g, -1, q) % q, q
 
 
-def set_bits(mask: int) -> list[int]:
-    """Positions of the one bits of mask, ascending, in time linear in its width."""
+def set_bits(mask: int):
+    """Iterate the positions of the one bits of mask, ascending, in time
+    linear in its width.
+
+    Lazy, so a caller that streams them never holds them all: the 2^22
+    bits of a full mask would take a list of about 165 MB.
+    """
     # bin() read from its last digit; the reversed '0b' prefix holds no '1'.
-    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+    return (i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
 
 
 class LazyTable(dict):
@@ -86,7 +91,7 @@ def solve_weyl_congruence(m: int, n: int, d: int) -> frozenset[tuple[int, int]]:
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")
     comb, r, step, q = weyl_rows(m % d, n % d, d)
-    teeth = set_bits(comb)
+    teeth = tuple(set_bits(comb))
     return frozenset(
         (x, y + k * step % q) for k, x in enumerate(range(0, d, r)) for y in teeth
     )

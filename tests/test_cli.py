@@ -13,7 +13,8 @@ import pytest
 from gbslocc.catalog import golden_indistinguishable, representatives
 from gbslocc.cli import MAX_ORBIT_CANDIDATES, main, render_json
 from gbslocc.clifford import symplectic_order
-from gbslocc.gpm import format_gbs_set
+from gbslocc.decide import slope_gap
+from gbslocc.gpm import INF, GbsSet, format_gbs_set
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,6 +48,30 @@ def test_check_text_lists_only_the_open_slope_gap(capsys):
     assert code == 0
     assert out.endswith("slope gap: 0 of 4194305 parameters open (none)\n")
     assert peak < 32 * 2**20
+
+
+def test_check_text_writes_a_long_slope_gap_in_pieces(capsys):
+    # At a prime past one 1024-parameter piece the line still lists every
+    # open parameter, ascending, "inf" last.  At d = 262,139 holding the
+    # whole line as str objects peaks near 25 MB, and writing it in pieces
+    # near 2 MB.
+    S = GbsSet.parse("0,0;5,7", 4099)
+    gap = slope_gap(S).gap
+    open_ = [*map(str, sorted(g for g in gap if g != INF)), *(["inf"] if INF in gap else [])]
+    assert len(open_) > 2048
+    code, out, _ = run_cli(capsys, "check", "-d", "4099", "-s", "0,0;5,7")
+    assert code == 0
+    assert out.endswith(f"slope gap: {len(open_)} of 4100 parameters open ({','.join(open_)})\n")
+    tracemalloc.start()
+    try:
+        code = main(["check", "-d", "262139", "-s", "0,0;0,1;1,0;1,1;2,3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "slope gap: 262133 of 262140 parameters open (2,3,4,5,6,7,8,9," in out
+    assert peak < 8 * 2**20
 
 
 def test_check_json_round_trips_byte_identical(capsys):
@@ -320,6 +345,30 @@ def test_cli_import_leaves_out_dataclasses():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_loads_the_same_modules_and_fills_no_cache():
+    # The covers, their decoded ORs and the check report frames are made on
+    # first use, so a bare import builds no table, and loads only the
+    # package's nine modules.
+    probe = (
+        "import sys, gbslocc.cli\n"
+        "decide, cli = sys.modules['gbslocc.decide'], sys.modules['gbslocc.cli']\n"
+        "caches = (decide._covers, decide._decoded, cli._small_check_json_frame)\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'gbslocc'))\n"
+        "print(*(c.cache_info().currsize for c in caches))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    modules, sizes = out.splitlines()
+    assert modules.split() == ["gbslocc", *(f"gbslocc.{name}" for name in (
+        "catalog", "cli", "clifford", "decide", "equivalence", "gpm", "modring", "numerics"))]
+    assert sizes == "0 0 0"
 
 
 NUMPY_FREE_ARGVS = (

@@ -33,7 +33,7 @@ from gbslocc.decide import (
 )
 from gbslocc.equivalence import anchored_translate
 from gbslocc.gpm import INF, GbsSet, all_gpms, index_set
-from gbslocc.modring import smallest_prime_factor, weyl_rows
+from gbslocc.modring import LazyTable, smallest_prime_factor, weyl_rows
 from oracles import (
     brute_congruence_solutions,
     brute_discriminant_set,
@@ -448,3 +448,19 @@ def test_cover_table_matches_the_row_scan_on_random_sets(monkeypatch, d):
         assert got == want, S
     found = {report.condition == DISCRIMINANT for report, _ in table}
     assert found == ({True} if smallest_prime_factor(d) == d else {True, False})
+
+
+def test_clearing_the_caches_of_decide_drops_every_cover():
+    # The covers live behind lru_caches only, so clearing each cache_clear
+    # global of the module, as a replay that starts every request cold
+    # does, leaves none of them behind.
+    module = importlib.import_module("gbslocc.decide")
+    decide_with_gap(GbsSet(6, ((0, 0), (1, 2), (3, 4), (5, 5))))
+    assert module._covers.cache_info().currsize > 0
+    assert module._decoded.cache_info().currsize > 0
+    for obj in vars(module).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    assert module._covers.cache_info().currsize == 0
+    assert module._decoded.cache_info().currsize == 0
+    assert not any(isinstance(obj, LazyTable) for obj in vars(module).values())

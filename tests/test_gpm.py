@@ -1,8 +1,12 @@
 import copy
 import pickle
+import tempfile
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gbslocc.clifford import enumerate_symplectic
 from gbslocc.gpm import (
@@ -14,6 +18,7 @@ from gbslocc.gpm import (
     difference_set,
     format_gbs_set,
     index_set,
+    load_set_rows,
     parse_gbs_set,
     slope,
     weyl_exponent,
@@ -143,6 +148,58 @@ def test_set_is_an_immutable_value():
     assert str(exc.value) == (
         "modulus and coordinates must be integers in GbsSet(d=4, elements=((0, 1.5),))"
     )
+
+
+# Tokens of batch lines at d <= 4: canonical texts 'm,n', the same pairs
+# written otherwise (signs, leading zeros, spaces, "-0"), empty and
+# malformed tokens, and values out of range.
+COORDINATES = st.sampled_from(["0", "1", "3"])
+WRITTEN_OTHERWISE = (COORDINATES.map("+{}".format) | COORDINATES.map("0{}".format)
+                     | COORDINATES.map(" {} ".format) | st.just("-0"))
+BATCH_TOKENS = (st.tuples(COORDINATES, COORDINATES).map(",".join)
+                | st.tuples(COORDINATES | WRITTEN_OTHERWISE,
+                            COORDINATES | WRITTEN_OTHERWISE).map(",".join)
+                | st.sampled_from(["", " ", "1,2,3", "x,1", "1_0,1", "-1,2"]))
+
+
+@st.composite
+def batch_lines(draw):
+    """Lines over a pool of at most four tokens, so that lines share their
+    tokens, written the same way and otherwise, as a batch does."""
+    pool = draw(st.lists(BATCH_TOKENS, min_size=1, max_size=4, unique=True))
+    line = st.lists(st.sampled_from(pool), min_size=1, max_size=4).map(";".join)
+    return draw(st.lists(line | st.sampled_from(["", "  ", "# note"]), max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 4), batch_lines())
+@example(3, ["0,0;1,2", "+1,2", "1,2;+1,2"])
+@example(3, ["0,0;1,2", "1,2;1,2"])
+@example(3, ["0,0", "00,0", "0,0;00,0", "-0,0;0,0"])
+def test_load_set_rows_reads_each_line_as_parse_gbs_set(d, lines):
+    # Lines whose tokens were all met before in canonical form skip the
+    # checks; what comes out must still be what parse_gbs_set makes of each
+    # line, or its error at that line.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sets.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        want, error = [], None
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip() or line.strip().startswith("#"):
+                continue
+            try:
+                want.append(parse_gbs_set(line, d))
+            except SetFormatError as exc:
+                error = f"{path}:{lineno}: {exc}"
+                break
+        if error is None:
+            got = load_set_rows(path, d)
+            assert got == tuple(want)
+            assert [repr(S) for S in got] == [repr(S) for S in want]
+        else:
+            with pytest.raises(SetFormatError) as exc:
+                load_set_rows(path, d)
+            assert str(exc.value) == error
 
 
 def test_difference_set_known_values():
