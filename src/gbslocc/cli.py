@@ -26,7 +26,7 @@ from . import catalog
 from .clifford import symplectic_order
 from .decide import INDISTINGUISHABLE, SMALL_D, decide, decide_with_gap
 from .equivalence import classify, orbit
-from .gpm import GbsSet, SetFormatError, format_gbs_set, load_set_rows
+from .gpm import GbsSet, SetFormatError, format_gbs_set, load_set_rows, read_rows
 from .modring import LazyTable, set_bits
 from .numerics import VERIFY_TOL, certify
 
@@ -232,17 +232,6 @@ def _write_check_text(out, S: GbsSet, report, gap_row) -> None:
     out.write(")\n")
 
 
-def _batch_summary(S: GbsSet) -> str:
-    report = decide(S)
-    parts = [format_gbs_set(S.elements), report.verdict, report.mode]
-    if report.condition:
-        parts.append(report.condition)
-    if report.witness:
-        m, n = report.witness
-        parts.append(f"({m},{n})")
-    return "  ".join(parts)
-
-
 def _cmd_check(args) -> int:
     if args.file is not None and args.set is not None:
         return _fail(EXIT_BAD_INPUT, "give either -s/--set or --file, not both")
@@ -259,23 +248,15 @@ def _cmd_check(args) -> int:
         return EXIT_OK
 
     try:
-        sets = load_set_rows(args.file, args.d)
+        lines = read_rows(args.file)
     except (OSError, SetFormatError) as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
-    # The whole file is parsed before the first write, so a bad line leaves
-    # stdout empty; then each set is decided and written in turn, and the
-    # payloads are never all held at once.
-    if not args.json:
-        for S in sets:
-            print(_batch_summary(S))
-        return EXIT_OK
-    # The bytes of render_json(payloads): each element indented one level.
-    separator = "[\n  "
-    for S in sets:
-        sys.stdout.write(separator)
-        _write_check_json(sys.stdout, S, *decide_with_gap(S), "  ")
-        separator = ",\n  "
-    sys.stdout.write("[]\n" if separator == "[\n  " else "\n]\n")
+    from .batch import check_batch
+
+    try:
+        check_batch(args.file, lines, args.d, args.json)
+    except SetFormatError as exc:
+        return _fail(EXIT_BAD_INPUT, str(exc))
     return EXIT_OK
 
 

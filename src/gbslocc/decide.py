@@ -2,7 +2,7 @@
 
 The engine works entirely on the difference set Delta(S) = {a - b} of the
 input, read as one difference per unordered pair: a difference and its
-negative commute with the same symbols, so the list decide builds once
+negative commute with the same symbols, so one difference per pair
 serves every rule.  A discriminant symbol T commuting with nothing in
 Delta(S) turns the eigenbasis of its matrix into a perfect one-way
 protocol.  The reported witness is the lexicographically least such T,
@@ -14,14 +14,16 @@ excludes exactly the parameter -s, and INF when s = INF, so the index
 cardinality, the number of distinct slopes, is the number of parameters
 the slope gap excludes.
 For d <= SMALL_D those rows are read from one cached cover per difference
-symbol, which packs all of them and the INF exclusion into one int, so a
-set is scanned with one OR per difference and read off from a cache of
-those ORs; above it they are built for each set, and the witness rows are
-scanned only when a rule reads the witness.
+symbol, which packs all of them, the INF exclusion and whether the symbol
+lacks a unit coordinate into one int, so a set is scanned with one OR per
+difference and read off from a cache of those ORs; above it they are
+built for each set, and the witness rows are scanned only when a rule
+reads the witness.
 The discriminant set itself can have about d^2 members; decide never builds
-it, and its memory stays linear in d.  A fully commutative Delta(S) admits a common
-eigenvector witness; and for composite d a difference set whose members
-each carry an invertible coordinate admits a shared eigenstate of a factor
+it, and its memory stays linear in d.  A fully commutative Delta(S) admits
+a common eigenvector witness, and decide tests it on the k - 1 translates
+s_i - s_0 alone; for composite d a difference set whose members each
+carry an invertible coordinate admits a shared eigenstate of a factor
 pair of shift/clock powers.  Those three sufficient conditions are checked
 in a fixed order.  For (d, k) = (4, 4) and d = 5 with k in {4, 5} the
 condition family is known to be exhaustive, so a fully negative outcome
@@ -223,7 +225,7 @@ def decide(S: GbsSet) -> DecisionReport:
     exhaustiveness results for (4, 4) and d = 5.  Anything else is
     INCONCLUSIVE: the conditions are only sufficient in general.
     """
-    return _ladder(S, *_scan(S)[:2])
+    return _ladder(S, *_scan(S)[:3])
 
 
 def decide_with_gap(S: GbsSet) -> tuple[DecisionReport, tuple[int, bool] | None]:
@@ -234,8 +236,8 @@ def decide_with_gap(S: GbsSet) -> tuple[DecisionReport, tuple[int, bool] | None]
     for a singleton, which has no slope gap.  slope_gap(S) holds the same
     parameters as frozensets.
     """
-    idx, witness, gap_row = _scan(S)
-    return _ladder(S, idx, witness), gap_row if len(S.elements) > 1 else None
+    idx, witness, units, gap_row = _scan(S)
+    return _ladder(S, idx, witness, units), gap_row if len(S.elements) > 1 else None
 
 
 # The largest modulus whose per-symbol rows are cached: the covers here
@@ -256,7 +258,8 @@ def _covers(d: int) -> LazyTable:
     segment: segment i holds the symbols of row _witness_rows(d)[i] that
     commute with (m, n), and the next one those of the slope-gap row
     d - 1.  The bit above them says whether the difference excludes INF,
-    that is whether m = 0.  Covers are made as differences are met.
+    that is whether m = 0, and the bit above that whether neither of its
+    coordinates is a unit.  Covers are made as differences are met.
     """
     xs = (*_witness_rows(d), d - 1)
 
@@ -266,14 +269,16 @@ def _covers(d: int) -> LazyTable:
         packed = 0
         for i, x in enumerate(xs):
             packed |= _row_cover(rows, x) << i * d
-        return packed | (m == 0) << len(xs) * d
+        no_unit = gcd(m, d) != 1 and gcd(n, d) != 1
+        return packed | ((m == 0) | no_unit << 1) << len(xs) * d
 
     return LazyTable(cover)
 
 
 @lru_cache(maxsize=4096)
-def _decoded(covered: int, d: int) -> tuple[tuple[int, bool], Gpm | None]:
-    """The slope gap's row (gap, inf) and the witness of an OR of covers.
+def _decoded(covered: int, d: int) -> tuple[tuple[int, bool], Gpm | None, bool]:
+    """The slope gap's row (gap, inf), the witness of an OR of covers, and
+    whether every difference ORed has a unit coordinate.
 
     The witness is the least free symbol: the lowest clear bit below the
     gap segment.  The segments are in the order _free_symbols scans the
@@ -286,45 +291,50 @@ def _decoded(covered: int, d: int) -> tuple[tuple[int, bool], Gpm | None]:
     if free:
         i, y = divmod((free & -free).bit_length() - 1, d)
         witness = xs[i], y
-    return (covered >> width & ((1 << d) - 1), covered >> width + d == 1), witness
+    flags = covered >> width + d
+    return (covered >> width & ((1 << d) - 1), flags & 1 == 1), witness, flags < 2
 
 
 def _scan(S: GbsSet):
-    """The index cardinality of S, the thunk of its DISCRIMINANT witness, and
-    its slope gap's row (covered, inf), as decide_with_gap returns it.
+    """The index cardinality of S, the thunks of its DISCRIMINANT witness
+    and of whether every difference has a unit coordinate, and its slope
+    gap's row (covered, inf), as decide_with_gap returns it.
 
     At d <= SMALL_D the covers of the pair differences are ORed, and the
-    row and the witness are read off that int.  Above it each difference
-    has its Weyl rows, and the row is row d - 1 of them.  The witness there
-    stays a thunk, read only after the size rules: a SMALL_SET verdict on
-    {(0,0),(0,t),(t,0)} at d = 2t = 3,603,600, which has no witness, would
-    otherwise scan its 480 divisor rows.  At prime d a difference of slope
-    s excludes exactly the parameter -s, and INF when s = INF, so the index
-    cardinality of a set of two or more elements is the number of
-    parameters the row excludes.
+    row, the witness and the units are read off that int.  Above it each
+    difference has its Weyl rows, and the row is row d - 1 of them.  The
+    witness there stays a thunk, read only after the size rules: a
+    SMALL_SET verdict on {(0,0),(0,t),(t,0)} at d = 2t = 3,603,600, which
+    has no witness, would otherwise scan its 480 divisor rows.  At prime d
+    a difference of slope s excludes exactly the parameter -s, and INF when
+    s = INF, so the index cardinality of a set of two or more elements is
+    the number of parameters the row excludes.
     """
     d = S.d
     if d > SMALL_D:
-        rows = [weyl_rows(m, n, d) for m, n in _differences(S)]
+        diffs = _differences(S)
+        rows = [weyl_rows(m, n, d) for m, n in diffs]
         witness = lambda: next(_free_symbols(rows, d, _witness_rows(d)), None)
+        units = lambda: _invertible(diffs, d)
         gap_row = _row_cover(rows, d - 1), any(q == 1 for _, _, _, q in rows)
     else:
         covers, covered = _covers(d), 0
         for (mi, ni), (mj, nj) in combinations(S.elements, 2):
             covered |= covers[(mi - mj) % d * d + (ni - nj) % d]
-        gap_row, found = _decoded(covered, d)
-        witness = lambda: found
+        gap_row, found, all_units = _decoded(covered, d)
+        witness, units = (lambda: found), (lambda: all_units)
     gap, inf = gap_row
     idx = gap.bit_count() + inf if len(S.elements) > 1 and is_prime(d) else None
-    return idx, witness, gap_row
+    return idx, witness, units, gap_row
 
 
-def _ladder(S: GbsSet, idx: int | None, witness) -> DecisionReport:
-    """The rules of decide, on S, its index cardinality and the thunk of its
-    DISCRIMINANT witness, from _scan.
+def _ladder(S: GbsSet, idx: int | None, witness, units) -> DecisionReport:
+    """The rules of decide, on S, its index cardinality and the thunks of
+    its DISCRIMINANT witness and of its units, from _scan.
 
-    Only the rules past the witness read the pair differences, so they are
-    formed again there: at most k(k - 1)/2 pairs, against the rows' O(d).
+    The commutation form is bilinear and every difference is s_i - s_j =
+    (s_i - s_0) - (s_j - s_0), so the differences pairwise commute exactly
+    when the k - 1 translates s_i - s_0 do: 6 pairs for a 5-set, not 45.
     """
     d, size = S.d, len(S.elements)
 
@@ -336,10 +346,10 @@ def _ladder(S: GbsSet, idx: int | None, witness) -> DecisionReport:
     witness = witness()
     if witness is not None:
         return DecisionReport(DISTINGUISHABLE, ONE_WAY, DISCRIMINANT, witness, idx)
-    diffs = _differences(S)
-    if is_commutative(diffs, d):
+    (m0, n0), *rest = S.elements
+    if is_commutative([(m - m0, n - n0) for m, n in rest], d):
         return DecisionReport(DISTINGUISHABLE, ONE_WAY, COMMUTATIVE, None, idx)
-    if not is_prime(d) and _invertible(diffs, d):
+    if not is_prime(d) and units():
         s = smallest_prime_factor(d)
         return DecisionReport(DISTINGUISHABLE, ONE_WAY, INVERTIBLE, (s, d // s), idx)
 

@@ -29,6 +29,8 @@ __all__ = [
     "SetFormatError",
     "parse_gbs_set",
     "format_gbs_set",
+    "read_rows",
+    "parse_rows",
     "load_set_rows",
     "commutes",
     "weyl_exponent",
@@ -176,12 +178,24 @@ def format_gbs_set(elements) -> str:
     return ";".join(f"{m},{n}" for m, n in elements)
 
 
-def load_set_rows(path, d: int) -> tuple[GbsSet, ...]:
-    """Read a file with one set literal per line; blank lines and '#'
-    comments are skipped, and so is a leading byte-order mark.  Any bad
-    line, or bytes that are not UTF-8, raise SetFormatError naming the path
-    (and the line).  read_text has turned '\\r\\n' and '\\r' into '\\n', so
-    lines end there only, not at the other breaks of str.splitlines.
+def read_rows(path) -> list[str]:
+    """The lines of a set file, as parse_rows reads them.  A leading
+    byte-order mark is dropped, and bytes that are not UTF-8 raise
+    SetFormatError naming the path.  read_text has turned '\\r\\n' and
+    '\\r' into '\\n', so lines end there only, not at the other breaks of
+    str.splitlines.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise SetFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    return text.split("\n")
+
+
+def parse_rows(path, lines, d: int, start: int = 1) -> list[GbsSet]:
+    """The sets of lines, numbered from start, one set literal per line;
+    blank lines and '#' comments are skipped.  A bad line raises
+    SetFormatError naming the path and the line.
 
     A batch repeats a few token texts many times, so each line whose
     tokens are all known canonical texts 'm,n', each written once, is read
@@ -191,12 +205,8 @@ def load_set_rows(path, d: int) -> tuple[GbsSet, ...]:
     the first, which checks d, and any with spaces, signs, leading zeros,
     a repeated token or an error.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise SetFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     rows, pairs = [], {}
-    for lineno, raw in enumerate(text.split("\n"), 1):
+    for lineno, raw in enumerate(lines, start):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -217,7 +227,12 @@ def load_set_rows(path, d: int) -> tuple[GbsSet, ...]:
         modulus = S.d
         for pair in S.elements:
             pairs[f"{pair[0]},{pair[1]}"] = pair
-    return tuple(rows)
+    return rows
+
+
+def load_set_rows(path, d: int) -> tuple[GbsSet, ...]:
+    """The sets of a set file: parse_rows of read_rows(path)."""
+    return tuple(parse_rows(path, read_rows(path), d))
 
 
 def difference_set(S: GbsSet) -> frozenset[Gpm]:

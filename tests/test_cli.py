@@ -1,8 +1,10 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from itertools import combinations, islice
@@ -307,6 +309,150 @@ def test_check_batch_json_streams_in_bounded_memory(tmp_path):
     assert peak_kb < 60 * 1024
 
 
+# Batches whose halves differ in what they hold: blank lines and comments on
+# both sides of the middle line, an odd line count, a first half with no
+# set, a second half with no set, and the file with no line break at all.
+SPLIT_BATCHES = {
+    "mixed, odd": "# head\n0,0;0,1;1,0;1,2\n\n1,2;1,0;3,2;3,0\n# mid\n\n"
+                  " 0,0 ; +1,2;01,3\n0,0;1,2;1,3\n\n# tail\n0,0\n",
+    "sets in the second half only": "# a\n\n# b\n\n0,0;0,1;1,0;1,2\n0,0;2,1\n",
+    "sets in the first half only": "0,0;0,1;1,0;1,2\n0,0;2,1\n\n# a\n\n#b\n",
+    "no set": "# a\n\n# b\n",
+    "empty": "",
+}
+
+
+def _batch_runs(capsys, monkeypatch, path, *extra):
+    """(code, stdout, stderr) of `check --file path` split in two processes,
+    and of the same run in one; then, for the two runs, how many times each
+    forked and how many sets this process decided."""
+    batch = importlib.import_module("gbslocc.batch")
+    forks, decided = [], []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for name in ("decide", "decide_with_gap"):
+        real = getattr(batch, name)
+        monkeypatch.setattr(batch, name, lambda S, real=real: decided.append(1) or real(S))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    runs, counts = [], []
+    for lines in (1, 10 ** 9):
+        monkeypatch.setattr(batch, "FORK_LINES", lines)
+        before = len(forks), len(decided)
+        runs.append(run_cli(capsys, "check", "-d", "4", "--file", str(path), *extra))
+        counts.append((len(forks) - before[0], len(decided) - before[1]))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return (*runs, *zip(*counts))
+
+
+def _set_lines(rows):
+    return sum(1 for row in rows if row.strip() and not row.strip().startswith("#"))
+
+
+@pytest.mark.parametrize("text", SPLIT_BATCHES.values(), ids=SPLIT_BATCHES)
+@pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+def test_split_batch_writes_the_bytes_of_one_process(capsys, monkeypatch, tmp_path, text, extra):
+    # The child decides the second half: this process only the first.
+    batch = tmp_path / "sets.txt"
+    batch.write_text(text, encoding="utf-8")
+    split, single, forks, decided = _batch_runs(capsys, monkeypatch, batch, *extra)
+    rows = text.split("\n")
+    assert forks == (1, 0)
+    assert decided == (_set_lines(rows[:len(rows) // 2]), _set_lines(rows))
+    assert split == single
+    assert single[0] == 0 and single[2] == ""
+    if extra:
+        assert render_json(json.loads(single[1])) == single[1]
+
+
+@pytest.mark.parametrize("lines, bad", [
+    (["0,0;0,1"] * 6 + ["0,0;9,9"], 7),
+    (["0,0;0,1"] * 5 + ["0,0;x", "0,0"], 6),
+    (["0,0;0,1", "0,0;0,0", "0,0", "0,0;x", "1,1"], 2),
+    (["0,0;0,1", "0,0", "0,0;0,0", "0,0;x", "1,1"], 3),
+], ids=["last line", "second half", "both halves", "both halves, at the middle"])
+def test_split_batch_reports_the_first_bad_line(capsys, monkeypatch, tmp_path, lines, bad):
+    # A bad line leaves stdout empty and is reported as one process reports
+    # it; with bad lines in both halves, the first is named.
+    batch = tmp_path / "sets.txt"
+    batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for extra in ((), ("--json",)):
+        split, single, forks, _ = _batch_runs(capsys, monkeypatch, batch, *extra)
+        assert forks == (1, 0)
+        assert split == single
+        assert single[:2] == (2, "")
+        assert single[2].startswith(f"error: {batch}:{bad}: ")
+
+
+@pytest.mark.parametrize("target", ["gbslocc.batch.parse_rows", "gbslocc.batch.decide",
+                                    "gbslocc.batch.decide_with_gap"])
+def test_split_batch_redoes_what_a_failed_child_left(capsys, monkeypatch, tmp_path, target):
+    # The child raises while it parses, or after it reported its half
+    # parsed, while it decides; this process then does that half itself.
+    batch = tmp_path / "sets.txt"
+    batch.write_text(SPLIT_BATCHES["mixed, odd"] + "1,1;x\n", encoding="utf-8")
+    good = tmp_path / "good.txt"
+    good.write_text(SPLIT_BATCHES["mixed, odd"], encoding="utf-8")
+    parent = os.getpid()
+    real = getattr(importlib.import_module("gbslocc.batch"), target.rsplit(".", 1)[1])
+
+    def fails_in_the_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("child")
+        return real(*args)
+
+    for extra in ((), ("--json",)):
+        for path in (good, batch):
+            monkeypatch.undo()
+            expected = run_cli(capsys, "check", "-d", "4", "--file", str(path), *extra)
+            monkeypatch.setattr(target, fails_in_the_child)
+            split, single, forks, _ = _batch_runs(capsys, monkeypatch, path, *extra)
+            assert forks == (1, 0)
+            assert split == single == expected
+
+
+def test_split_batch_child_ends_once_the_parent_is_gone():
+    # As when a reader closes the stdout of `check --file` and the parent
+    # dies of SIGPIPE: with the pipe's read end closed after the parsed
+    # report, the child fails at its next 1,024 sets instead of finishing
+    # its 20,000 and leaving with 0.
+    batch = importlib.import_module("gbslocc.batch")
+    lines = ["0,0;0,1;1,0;1,2"] * 20000
+    pid, ready, spill = batch._fork_half("sets.txt", lines, 4, 1, batch._write_json_sets)
+    try:
+        assert os.read(ready, 1) == b"."
+    finally:
+        os.close(ready)
+        spill.close()
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
+
+
+@pytest.mark.parametrize("cpus, threads", [({0}, 0), ({0, 1}, 1)],
+                         ids=["one CPU", "two threads"])
+def test_split_batch_needs_two_cpus_and_one_thread(capsys, monkeypatch, tmp_path, cpus, threads):
+    def no_fork():
+        raise AssertionError("forked")
+
+    batch = tmp_path / "sets.txt"
+    batch.write_text(SPLIT_BATCHES["mixed, odd"], encoding="utf-8")
+    monkeypatch.setattr("gbslocc.batch.FORK_LINES", 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    release = threading.Event()
+    waiting = [threading.Thread(target=release.wait) for _ in range(threads)]
+    for thread in waiting:
+        thread.start()
+    try:
+        code, out, err = run_cli(capsys, "check", "-d", "4", "--file", str(batch), "--json")
+    finally:
+        release.set()
+        for thread in waiting:
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in waiting)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)) == 5
+
+
 def test_exact_subcommands_do_not_import_numpy():
     # The package needs only the standard library, verify included.
     probe = (
@@ -350,13 +496,14 @@ def test_cli_import_leaves_out_dataclasses():
 def test_cli_import_loads_the_same_modules_and_fills_no_cache():
     # The covers, their decoded ORs and the check report frames are made on
     # first use, so a bare import builds no table, and loads only the
-    # package's nine modules.
+    # package's nine modules: gbslocc.batch, and the tempfile that a split
+    # batch needs, are imported only for a batch.
     probe = (
         "import sys, gbslocc.cli\n"
         "decide, cli = sys.modules['gbslocc.decide'], sys.modules['gbslocc.cli']\n"
         "caches = (decide._covers, decide._decoded, cli._small_check_json_frame)\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'gbslocc'))\n"
-        "print(*(c.cache_info().currsize for c in caches))\n"
+        "print(*(c.cache_info().currsize for c in caches), 'tempfile' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -368,7 +515,7 @@ def test_cli_import_loads_the_same_modules_and_fills_no_cache():
     modules, sizes = out.splitlines()
     assert modules.split() == ["gbslocc", *(f"gbslocc.{name}" for name in (
         "catalog", "cli", "clifford", "decide", "equivalence", "gpm", "modring", "numerics"))]
-    assert sizes == "0 0 0"
+    assert sizes == "0 0 0 False"
 
 
 NUMPY_FREE_ARGVS = (

@@ -302,19 +302,22 @@ def test_slope_gap_matches_brute_force_oracle():
         assert gap.gap == gap.admissible - excluded, S
 
 
-def test_decide_matches_brute_force_ladder():
+def test_decide_matches_brute_force_ladder(monkeypatch):
     # The whole report, every rule and the index cardinality included,
-    # against the README ladder run on the full difference set.
-    fired = set()
-    for S in _oracle_sets():
-        r = decide(S)
-        got = (r.verdict, r.mode, r.condition, r.witness, r.index_cardinality)
-        assert got == brute_report(S.elements, S.d), S
-        fired.add(r.condition)
-    assert fired == {
-        SMALL_SET, TOO_MANY, DISCRIMINANT, COMMUTATIVE, INVERTIBLE,
-        COMPLETE_D4, COMPLETE_D5, None,
-    }
+    # against the README ladder run on the full difference set: from decide,
+    # and from decide_with_gap read off the covers and off the row scan.
+    sets = [*_oracle_sets()]
+    for reports in ([decide(S) for S in sets],
+                    *([r for r, _ in path] for path in _decided_both_ways(monkeypatch, sets))):
+        fired = set()
+        for S, r in zip(sets, reports, strict=True):
+            got = (r.verdict, r.mode, r.condition, r.witness, r.index_cardinality)
+            assert got == brute_report(S.elements, S.d), S
+            fired.add(r.condition)
+        assert fired == {
+            SMALL_SET, TOO_MANY, DISCRIMINANT, COMMUTATIVE, INVERTIBLE,
+            COMPLETE_D4, COMPLETE_D5, None,
+        }
 
 
 @pytest.mark.parametrize("d, literal, verdict, witness", [
