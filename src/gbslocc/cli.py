@@ -13,7 +13,6 @@ diagnostics to stderr.
 """
 
 import argparse
-import io
 import json
 import signal
 import sys
@@ -22,13 +21,11 @@ from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import comb
 
-from . import catalog
-from .clifford import symplectic_order
-from .decide import INDISTINGUISHABLE, SMALL_D, decide, decide_with_gap
-from .equivalence import classify, orbit
+# catalog, clifford, equivalence and numerics are imported by the commands
+# that use them, so the start-up of `check` leaves them out.
+from .decide import INDISTINGUISHABLE, decide, decide_with_gap
 from .gpm import GbsSet, SetFormatError, format_gbs_set, load_set_rows, read_rows
 from .modring import LazyTable, set_bits
-from .numerics import VERIFY_TOL, certify
 
 EXIT_OK = 0
 EXIT_DEVIATION = 1
@@ -66,6 +63,8 @@ def _fail(code: int, message: str) -> int:
 
 def _refuse_candidates(command: str, d: int, sets) -> int | None:
     """Exit 3 when the orbits of the sets would enumerate too many candidates."""
+    from .clifford import symplectic_order
+
     count = sum(map(len, sets)) * symplectic_order(d)
     if count > MAX_ORBIT_CANDIDATES:
         return _fail(EXIT_UNSUPPORTED, f"{command} enumerates at most {MAX_ORBIT_CANDIDATES} "
@@ -95,8 +94,8 @@ def render_json(payload) -> str:
 #
 #   {"d", "generation_certified", "members", "representative", "size"}
 #
-# Keys are written in sorted order.  The members of an orbit and, above
-# SMALL_D, the slope-gap lists go through _write_json_list, and every
+# Keys are written in sorted order.  The members of an orbit and the
+# slope-gap lists go through _write_json_list, and every
 # (m, n) pair, a set element, a witness, a member's element or the orbit's
 # representative, is text from the table of _pair_text.
 
@@ -159,49 +158,28 @@ def _write_slope_gap_json(out, d: int, covered: int, inf: bool, pad: str) -> Non
     out.write(f"\n{pad}}}")
 
 
-def _check_json_frame(d: int, report, pad: str):
-    """The report of `check` around its set and slope gap, as (head, sep,
-    middle, tail): the report is head, the set's elements joined by sep,
-    middle, the slope gap and tail."""
+def _write_check_json(out, S: GbsSet, report, gap_row, pad: str = "", elements=None) -> None:
+    """Write the JSON report of `check` for S, from decide_with_gap(S).
+
+    elements, where given, is written in place of the text of S's elements:
+    batch `check` writes a marker there, and cuts the report at it into
+    the frame of every set with the same report.
+    """
     p1 = pad + "  "
+    if elements is None:
+        elements = f",\n{p1}  ".join(map(_pair_text(p1 + "  "), S.elements))
     witness = _pair_text(p1)(report.witness) if report.witness else "null"
-    head = (f'{{\n{p1}"condition": {_json_scalar(report.condition)},\n'
-            f'{p1}"d": {d},\n'
-            f'{p1}"index_cardinality": {_json_scalar(report.index_cardinality)},\n'
-            f'{p1}"mode": {_json_scalar(report.mode)},\n'
-            f'{p1}"set": [\n{p1}  ')
-    tail = (f',\n{p1}"verdict": {_json_scalar(report.verdict)},\n'
-            f'{p1}"witness": {witness}\n{pad}}}')
-    return head, f",\n{p1}  ", f'\n{p1}],\n{p1}"slope_gap": ', tail
-
-
-# Used at d <= SMALL_D, where a batch repeats a few reports: the 52,360
-# standard 5-sets at d = 6 have 85.
-@lru_cache(maxsize=256)
-def _small_check_json_frame(d: int, report, gap_row, pad: str):
-    """_check_json_frame with the slope gap written into it, as (head, sep, tail)."""
-    head, sep, middle, tail = _check_json_frame(d, report, pad)
-    if gap_row is None:
-        return head, sep, middle + "null" + tail
-    gap = io.StringIO()
-    _write_slope_gap_json(gap, d, *gap_row, pad + "  ")
-    return head, sep, middle + gap.getvalue() + tail
-
-
-def _write_check_json(out, S: GbsSet, report, gap_row, pad: str = "") -> None:
-    """Write the JSON report of `check` for S, from decide_with_gap(S)."""
-    elements = map(_pair_text(pad + "    "), S.elements)
-    if S.d <= SMALL_D:
-        head, sep, tail = _small_check_json_frame(S.d, report, gap_row, pad)
-        out.write(head + sep.join(elements) + tail)
-        return
-    head, sep, middle, tail = _check_json_frame(S.d, report, pad)
-    out.write(head + sep.join(elements) + middle)
+    out.write(f'{{\n{p1}"condition": {_json_scalar(report.condition)},\n'
+              f'{p1}"d": {S.d},\n'
+              f'{p1}"index_cardinality": {_json_scalar(report.index_cardinality)},\n'
+              f'{p1}"mode": {_json_scalar(report.mode)},\n'
+              f'{p1}"set": [\n{p1}  {elements}\n{p1}],\n{p1}"slope_gap": ')
     if gap_row is None:
         out.write("null")
     else:
-        _write_slope_gap_json(out, S.d, *gap_row, pad + "  ")
-    out.write(tail)
+        _write_slope_gap_json(out, S.d, *gap_row, p1)
+    out.write(f',\n{p1}"verdict": {_json_scalar(report.verdict)},\n'
+              f'{p1}"witness": {witness}\n{pad}}}')
 
 
 def _write_check_text(out, S: GbsSet, report, gap_row) -> None:
@@ -262,6 +240,8 @@ def _cmd_check(args) -> int:
 
 def _classify_inputs(args):
     """Representative sets plus display labels, from the catalog or a file."""
+    from . import catalog
+
     if args.reps_file is not None:
         sets = load_set_rows(args.reps_file, args.d)
         return sets, [catalog.set_label(S.elements) for S in sets]
@@ -270,6 +250,9 @@ def _classify_inputs(args):
 
 
 def _cmd_classify(args) -> int:
+    from . import catalog
+    from .equivalence import classify
+
     if args.k >= 1 and comb(args.d ** 2 - 1, args.k - 1) > MAX_CLASSIFY_SETS:
         return _fail(EXIT_UNSUPPORTED,
                      f"classify audits at most {MAX_CLASSIFY_SETS} standard sets, "
@@ -391,6 +374,8 @@ def _write_orbit_json(out, report) -> None:
 
 
 def _cmd_orbit(args) -> int:
+    from .equivalence import orbit
+
     try:
         S = GbsSet.parse(args.set, args.d)
         if refused := _refuse_candidates("orbit", args.d, [S]):
@@ -412,6 +397,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .numerics import VERIFY_TOL, certify
+
     try:
         S = GbsSet.parse(args.set, args.d)
     except SetFormatError as exc:
@@ -451,6 +438,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from . import catalog
+
     families = [catalog.representatives(d, k) for d, k in ((4, 4), (5, 4), (5, 5))]
     sizes = catalog.golden_class_sizes()
     indist = catalog.golden_indistinguishable()
@@ -529,6 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse before Python 3.12 drops the value of --set=-- and gives [].
+    if getattr(args, "set", None) == []:
+        args.set = "--"
     needs_set = getattr(args, "needs_set", False)
     if needs_set == "unless_file":
         needs_set = args.file is None
@@ -552,4 +544,7 @@ def run() -> None:
 
 
 if __name__ == "__main__":
+    # batch imports from gbslocc.cli: under `python -m` that is this module,
+    # not a second copy to compile.
+    sys.modules["gbslocc.cli"] = sys.modules[__name__]
     run()

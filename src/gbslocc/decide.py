@@ -241,7 +241,7 @@ def decide_with_gap(S: GbsSet) -> tuple[DecisionReport, tuple[int, bool] | None]
 
 
 # The largest modulus whose per-symbol rows are cached: the covers here
-# and cli's check reports.  All d^2 <= 4096 symbols of such a modulus fit
+# and batch's frames.  All d^2 <= 4096 symbols of such a modulus fit
 # in one LazyTable.  A cover costs tau(d) + 1 rows where the lazy scan
 # mostly reads two, so the covers pay only when a batch repeats its
 # symbols, as a sweep does: the 52,360 standard 5-sets at d = 6 have 35

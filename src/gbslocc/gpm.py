@@ -8,7 +8,8 @@ acting with the symbols on one half of the standard maximally entangled
 state.  Everything here is exact integer work; the operators' action on
 vectors lives in the numerics module.  The set-literal wire format
 'm,n;m,n' and the one-literal-per-line file format are parsed and written
-here only.
+here; batch `check` reads a file's lines into packed element codes, and
+every line it has not met in canonical form through parse_gbs_set.
 
 Two symbols commute exactly when n*x - m*y = 0 (mod d), and for prime d the
 nonzero symbols organize into d + 1 lines through the origin indexed by the
@@ -195,38 +196,19 @@ def read_rows(path) -> list[str]:
 def parse_rows(path, lines, d: int, start: int = 1) -> list[GbsSet]:
     """The sets of lines, numbered from start, one set literal per line;
     blank lines and '#' comments are skipped.  A bad line raises
-    SetFormatError naming the path and the line.
-
-    A batch repeats a few token texts many times, so each line whose
-    tokens are all known canonical texts 'm,n', each written once, is read
-    from a table of the pairs met so far and not checked again.  The table
-    holds only the pairs of lines parse_gbs_set took, under the text
-    format_gbs_set gives them, and every other line is parsed in full:
-    the first, which checks d, and any with spaces, signs, leading zeros,
-    a repeated token or an error.
+    SetFormatError naming the path and the line.  Batch `check` reads its
+    lines with its own parser, gbslocc.batch.parse_codes.
     """
-    rows, pairs = [], {}
+    rows = []
     for lineno, raw in enumerate(lines, start):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split(";")
-        try:
-            elements = tuple([pairs[token] for token in tokens])
-        except KeyError:
-            pass
-        else:
-            if len(set(tokens)) == len(tokens):
-                rows.append(_trusted_gbs_set(modulus, elements))
-                continue
         try:
             S = parse_gbs_set(line, d)
         except SetFormatError as exc:
             raise SetFormatError(f"{path}:{lineno}: {exc}") from None
         rows.append(S)
-        modulus = S.d
-        for pair in S.elements:
-            pairs[f"{pair[0]},{pair[1]}"] = pair
     return rows
 
 

@@ -8,7 +8,7 @@ these rows, the slope gap is row d - 1 of them (a pair excludes y exactly
 when (d - 1, y) commutes with its difference), and `solve_weyl_congruence`
 expands them into pairs.  All intermediates are Python ints, so moduli
 well past 64 are safe from overflow.  `LazyTable` is the bounded cache of
-per-symbol values that decide and cli share.
+per-symbol values that several modules share.
 """
 
 from functools import lru_cache
@@ -64,7 +64,7 @@ class LazyTable(dict):
 
     A table is emptied when it reaches 4096 entries.  That is 64^2, every
     symbol of a modulus up to decide.SMALL_D = 64, so decide's covers of
-    one modulus, each at most 13 rows of 60 bits, all fit; cli's texts of
+    one modulus, each at most 13 rows of 60 bits, all fit; the texts of
     pairs, at any modulus, stay under a few MB.
     """
 

@@ -1,13 +1,17 @@
 import hashlib
 import importlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from functools import reduce
 from itertools import combinations, islice
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -325,21 +329,21 @@ SPLIT_BATCHES = {
 def _batch_runs(capsys, monkeypatch, path, *extra):
     """(code, stdout, stderr) of `check --file path` split in two processes,
     and of the same run in one; then, for the two runs, how many times each
-    forked and how many sets this process decided."""
+    forked and how many sets this process parsed."""
     batch = importlib.import_module("gbslocc.batch")
-    forks, decided = [], []
+    forks, parsed = [], []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    for name in ("decide", "decide_with_gap"):
-        real = getattr(batch, name)
-        monkeypatch.setattr(batch, name, lambda S, real=real: decided.append(1) or real(S))
+    real = batch.parse_codes
+    monkeypatch.setattr(batch, "parse_codes",
+                        lambda *args: parsed.extend(rows := real(*args)) or rows)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     runs, counts = [], []
     for lines in (1, 10 ** 9):
         monkeypatch.setattr(batch, "FORK_LINES", lines)
-        before = len(forks), len(decided)
+        before = len(forks), len(parsed)
         runs.append(run_cli(capsys, "check", "-d", "4", "--file", str(path), *extra))
-        counts.append((len(forks) - before[0], len(decided) - before[1]))
+        counts.append((len(forks) - before[0], len(parsed) - before[1]))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     return (*runs, *zip(*counts))
@@ -352,13 +356,13 @@ def _set_lines(rows):
 @pytest.mark.parametrize("text", SPLIT_BATCHES.values(), ids=SPLIT_BATCHES)
 @pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
 def test_split_batch_writes_the_bytes_of_one_process(capsys, monkeypatch, tmp_path, text, extra):
-    # The child decides the second half: this process only the first.
+    # The child parses and decides the second half: this process only the first.
     batch = tmp_path / "sets.txt"
     batch.write_text(text, encoding="utf-8")
-    split, single, forks, decided = _batch_runs(capsys, monkeypatch, batch, *extra)
+    split, single, forks, parsed = _batch_runs(capsys, monkeypatch, batch, *extra)
     rows = text.split("\n")
     assert forks == (1, 0)
-    assert decided == (_set_lines(rows[:len(rows) // 2]), _set_lines(rows))
+    assert parsed == (_set_lines(rows[:len(rows) // 2]), _set_lines(rows))
     assert split == single
     assert single[0] == 0 and single[2] == ""
     if extra:
@@ -384,8 +388,7 @@ def test_split_batch_reports_the_first_bad_line(capsys, monkeypatch, tmp_path, l
         assert single[2].startswith(f"error: {batch}:{bad}: ")
 
 
-@pytest.mark.parametrize("target", ["gbslocc.batch.parse_rows", "gbslocc.batch.decide",
-                                    "gbslocc.batch.decide_with_gap"])
+@pytest.mark.parametrize("target", ["gbslocc.batch.parse_codes", "gbslocc.batch.decide_with_gap"])
 def test_split_batch_redoes_what_a_failed_child_left(capsys, monkeypatch, tmp_path, target):
     # The child raises while it parses, or after it reported its half
     # parsed, while it decides; this process then does that half itself.
@@ -453,6 +456,118 @@ def test_split_batch_needs_two_cpus_and_one_thread(capsys, monkeypatch, tmp_path
     assert len(json.loads(out)) == 5
 
 
+def _single_reports(capsys, d, rows, *extra):
+    """What `check -s` reports on each row, as the line of text batch
+    `check` or as the JSON payload."""
+    reports = []
+    for row in rows:
+        code, out, _ = run_cli(capsys, "check", "-d", str(d), "-s", row, *extra)
+        assert code == 0
+        if extra:
+            reports.append(json.loads(out))
+            continue
+        fields = dict(line.split(": ", 1) for line in out.splitlines()[1:])
+        reports.append("  ".join([row, fields["verdict"], fields["mode"], *(
+            fields[name] for name in ("condition", "witness") if name in fields)]))
+    return reports
+
+
+def _batch_reports(capsys, path, d, *extra):
+    code, out, err = run_cli(capsys, "check", "-d", str(d), "--file", str(path), *extra)
+    assert (code, err) == (0, "")
+    if extra:
+        assert render_json(json.loads(out)) == out
+        return json.loads(out)
+    return out.splitlines()
+
+
+# COMPLETE_D4 and COMMUTATIVE: two 4-sets with the same OR of covers and no
+# witness, which only the commutation of their translates tells apart.
+COLLIDING_D4 = ("0,0;0,1;0,2;2,0", "0,0;0,2;2,0;2,2")
+
+
+@pytest.mark.parametrize("rows", [COLLIDING_D4, COLLIDING_D4[::-1]],
+                         ids=["COMPLETE_D4 first", "COMMUTATIVE first"])
+@pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+def test_batch_tells_apart_sets_with_one_or_of_covers(capsys, tmp_path, rows, extra):
+    batch = importlib.import_module("gbslocc.batch")
+    covers = batch._difference_covers(4)
+    ors = {reduce(or_, (covers[a - b] for a, b in combinations(codes, 2)))
+           for codes in batch.parse_codes("sets", rows, 4)}
+    assert len(ors) == 1
+    path = tmp_path / "sets.txt"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    reports = _batch_reports(capsys, path, 4, *extra)
+    assert reports == _single_reports(capsys, 4, rows, *extra)
+    conditions = {"COMPLETE_D4", "COMMUTATIVE"}
+    assert {r["condition"] if extra else r.split()[3] for r in reports} == conditions
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+def test_batch_at_d64_reads_as_each_set_with_its_frames_bounded(capsys, monkeypatch, extra):
+    # Random sets at d = 64 rarely share a frame.  With room for 16, the
+    # text table is emptied many times over, and the JSON one, whose frames
+    # are almost never met again, is given up; every line still reads as
+    # `check -s` reports its set.
+    batch = importlib.import_module("gbslocc.batch")
+    monkeypatch.setattr(batch, "FRAMES", 16)
+    rng = random.Random(64)
+    rows = [format_gbs_set(divmod(code, 64) for code in rng.sample(range(64 * 64), k))
+            for k in [rng.randint(1, 7) for _ in range(400)]]
+    out, frames = io.StringIO(), batch._Frames()
+    batch._write_sets(out, batch.parse_codes("sets", rows, 64), "[\n  " if extra else "", 64,
+                      frames, bool(extra))
+    assert len(frames) <= 16
+    assert (frames.hits is None) == bool(extra)
+    if extra:
+        out.write("\n]\n")
+        assert render_json(json.loads(out.getvalue())) == out.getvalue()
+    reports = json.loads(out.getvalue()) if extra else out.getvalue().splitlines()
+    assert reports == _single_reports(capsys, 64, rows, *extra)
+
+
+@pytest.mark.parametrize("d", [4, 100])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_batch_writes_stdout_in_pieces(monkeypatch, tmp_path, d, as_json):
+    # A write-through stdout costs a system call per write: the sets go out
+    # in pieces of 64, or 64 KB above SMALL_D, not one or more a set, and
+    # not all at once.
+    batch = importlib.import_module("gbslocc.batch")
+    writes = []
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    rows = [f"0,0;0,1;1,{n % d};2,{n * n % d}" for n in range({4: 6000, 100: 3000}[d])]
+    batch.check_batch(tmp_path / "sets.txt", rows, d, as_json)
+    assert len(writes) <= 3 + len(rows) / 64 + sum(map(len, writes)) / 2 ** 16
+    assert sum(map(len, writes)) > 2 ** 17
+    assert all(text.count('"verdict"' if as_json else "\n") <= 64 or len(text) <= 2 ** 17
+               for text in writes)
+
+
+def test_batch_compiles_cli_once(tmp_path):
+    # Under `python -m gbslocc.cli` the running cli is __main__; batch's
+    # import of gbslocc.cli must find it rather than load a second copy.
+    batch = tmp_path / "sets.txt"
+    batch.write_text("0,0;0,1\n0,0;1,0\n", encoding="utf-8")
+    err = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gbslocc.cli", "check", "-d", "4",
+         "--file", str(batch)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+                if line.startswith("import time:")]
+    assert "gbslocc.batch" in imported
+    assert "gbslocc.cli" not in imported
+
+
 def test_exact_subcommands_do_not_import_numpy():
     # The package needs only the standard library, verify included.
     probe = (
@@ -494,14 +609,15 @@ def test_cli_import_leaves_out_dataclasses():
 
 
 def test_cli_import_loads_the_same_modules_and_fills_no_cache():
-    # The covers, their decoded ORs and the check report frames are made on
-    # first use, so a bare import builds no table, and loads only the
-    # package's nine modules: gbslocc.batch, and the tempfile that a split
-    # batch needs, are imported only for a batch.
+    # The covers and their decoded ORs are made on first use, so a bare
+    # import builds no table, and loads only the package, cli, decide, gpm
+    # and modring: catalog, clifford, equivalence and numerics are imported
+    # by the commands that use them, and gbslocc.batch, and the tempfile
+    # that a split batch needs, only for a batch.
     probe = (
         "import sys, gbslocc.cli\n"
-        "decide, cli = sys.modules['gbslocc.decide'], sys.modules['gbslocc.cli']\n"
-        "caches = (decide._covers, decide._decoded, cli._small_check_json_frame)\n"
+        "decide = sys.modules['gbslocc.decide']\n"
+        "caches = (decide._covers, decide._decoded)\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'gbslocc'))\n"
         "print(*(c.cache_info().currsize for c in caches), 'tempfile' in sys.modules)\n"
     )
@@ -514,8 +630,31 @@ def test_cli_import_loads_the_same_modules_and_fills_no_cache():
     ).stdout
     modules, sizes = out.splitlines()
     assert modules.split() == ["gbslocc", *(f"gbslocc.{name}" for name in (
-        "catalog", "cli", "clifford", "decide", "equivalence", "gpm", "modring", "numerics"))]
-    assert sizes == "0 0 0 False"
+        "cli", "decide", "gpm", "modring"))]
+    assert sizes == "0 0 False"
+
+
+def test_package_loads_the_orbit_and_catalog_names_on_first_use():
+    # `import gbslocc` leaves equivalence, clifford and catalog out; the
+    # names they give the package are there on first access, and for
+    # `from gbslocc import *`.
+    probe = (
+        "import sys, gbslocc\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'gbslocc'))\n"
+        "names = {}\n"
+        "exec('from gbslocc import *', names)\n"
+        "print(sorted(set(gbslocc.__all__) - set(names)), names['orbit'].__module__,\n"
+        "      names['representatives'].__module__, hasattr(gbslocc, 'no_such_name'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines() == ["gbslocc gbslocc.decide gbslocc.gpm gbslocc.modring",
+                                "[] gbslocc.equivalence gbslocc.catalog False"]
 
 
 NUMPY_FREE_ARGVS = (
@@ -591,7 +730,7 @@ def test_classify_golden_unsupported_pair_refuses_before_classifying(capsys, mon
     def fail(*args):
         raise AssertionError("classify ran for an unsupported golden request")
 
-    monkeypatch.setattr("gbslocc.cli.classify", fail)
+    monkeypatch.setattr("gbslocc.equivalence.classify", fail)
     code, _, err = run_cli(capsys, "classify", "-d", "5", "-k", "5", "--golden")
     assert code == 3
     assert "no golden tables" in err

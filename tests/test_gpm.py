@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gbslocc.batch import parse_codes
 from gbslocc.clifford import enumerate_symplectic
 from gbslocc.gpm import (
     INF,
@@ -177,9 +178,8 @@ def batch_lines(draw):
 @example(3, ["0,0;1,2", "1,2;1,2"])
 @example(3, ["0,0", "00,0", "0,0;00,0", "-0,0;0,0"])
 def test_load_set_rows_reads_each_line_as_parse_gbs_set(d, lines):
-    # Lines whose tokens were all met before in canonical form skip the
-    # checks; what comes out must still be what parse_gbs_set makes of each
-    # line, or its error at that line.
+    # What comes out must be what parse_gbs_set makes of each line, or its
+    # error at that line.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sets.txt"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -200,6 +200,33 @@ def test_load_set_rows_reads_each_line_as_parse_gbs_set(d, lines):
             with pytest.raises(SetFormatError) as exc:
                 load_set_rows(path, d)
             assert str(exc.value) == error
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 4), batch_lines())
+@example(3, ["0,0;1,2", "+1,2", "1,2;+1,2"])
+@example(3, ["0,0;1,2", "1,2;1,2"])
+@example(3, ["0,0", "00,0", "0,0;00,0", "-0,0;0,0"])
+def test_batch_parse_reads_each_line_as_parse_gbs_set(d, lines):
+    # The batch parser reads lines of tokens met before in canonical form
+    # from its table of codes m*2d + n; each line must still decode to what
+    # parse_gbs_set makes of it, or raise its error at that line.
+    want, error = [], None
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        try:
+            want.append(parse_gbs_set(line, d).elements)
+        except SetFormatError as exc:
+            error = f"sets.txt:{lineno}: {exc}"
+            break
+    if error is None:
+        rows = parse_codes("sets.txt", lines, d)
+        assert [tuple(divmod(code, 2 * d) for code in codes) for codes in rows] == want
+    else:
+        with pytest.raises(SetFormatError) as exc:
+            parse_codes("sets.txt", lines, d)
+        assert str(exc.value) == error
 
 
 def test_difference_set_known_values():
